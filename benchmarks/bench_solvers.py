@@ -29,17 +29,6 @@ def test_max_cycle_ratio_speed(benchmark):
     assert result is not None and result.ratio > 0
 
 
-def test_howard_speed(benchmark):
-    """Policy iteration vs the cycle-ratio iteration above (same graph)."""
-    from repro.maxplus import howard_max_cycle_ratio
-
-    tpn = build_overlap_tpn(paper_system())
-    graph = tpn.to_token_graph()
-    ref = max_cycle_ratio(graph).ratio
-    value = benchmark(howard_max_cycle_ratio, graph)
-    assert value == pytest.approx(ref, rel=1e-9)
-
-
 def test_dater_evolution_speed(benchmark):
     """The third evaluator: exact dater recursion over 200 rounds."""
     from repro.maxplus import dater_throughput

@@ -18,6 +18,17 @@ from repro.core.components import overlap_throughput
 from repro.core.deterministic import tpn_throughput_deterministic
 from repro.petri.builder_strict import build_strict_tpn
 
+#: ``critical_resource`` and ``max_cycle_time`` come from
+#: :mod:`repro.mapping.resources`; both stay reachable here because the
+#: perfbench traced run wraps them under these names.
+__all__ = [
+    "CriticalResourceReport",
+    "analyze_critical_resource",
+    "critical_resource",
+    "deterministic_throughput",
+    "max_cycle_time",
+]
+
 
 @dataclass(frozen=True, slots=True)
 class CriticalResourceReport:
@@ -78,10 +89,10 @@ def analyze_critical_resource(
     actual throughput uses the bottleneck semantics ``ρ = m / P``.
     """
     model = ExecutionModel.coerce(model)
-    mct = max_cycle_time(mapping, model, use_slowest_teammate=use_slowest_teammate)
     crit = critical_resource(
         mapping, model, use_slowest_teammate=use_slowest_teammate
     )
+    mct = crit.exec_time(model)
     rho = deterministic_throughput(mapping, model, semantics="bottleneck")
     return CriticalResourceReport(
         model=model,

@@ -13,9 +13,7 @@ from repro.maxplus.cycle import (
     CycleResult,
     max_cycle_ratio,
     max_cycle_ratio_brute_force,
-    max_mean_cycle_karp,
 )
-from repro.maxplus.howard import howard_max_cycle_ratio
 from repro.maxplus.dater import dater_evolution, dater_throughput
 
 __all__ = [
@@ -29,8 +27,6 @@ __all__ = [
     "CycleResult",
     "max_cycle_ratio",
     "max_cycle_ratio_brute_force",
-    "max_mean_cycle_karp",
-    "howard_max_cycle_ratio",
     "dater_evolution",
     "dater_throughput",
 ]

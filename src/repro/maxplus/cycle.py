@@ -1,35 +1,41 @@
-"""Maximum cycle ratio / maximum mean cycle solvers.
+"""Maximum cycle ratio of a token graph: one kernel and its oracle.
 
 The period of a strongly connected timed event graph is the *maximum cycle
 ratio* of its token graph::
 
     P  =  max over cycles C of  Σ_{arc ∈ C} weight / Σ_{arc ∈ C} tokens
 
-(paper Section 4, after [2]). Three solvers are provided:
+(paper Section 4, after [2]).
 
-* :func:`max_cycle_ratio` — exact cycle-ratio iteration: repeatedly test
-  "is there a cycle with ``Σ(w - λ·t) > 0``?" by Bellman-Ford positive-
-  cycle detection, and jump ``λ`` to the exact ratio of any witness cycle.
-  ``λ`` strictly increases within the finite set of simple-cycle ratios, so
-  the iteration terminates with the optimum and a witness critical cycle.
-  Relaxations are vectorized over arcs (numpy), so each Bellman-Ford round
-  costs O(E) array work.
-* :func:`max_mean_cycle_karp` — Karp's classic O(VE) dynamic program for
-  the maximum *mean* cycle (all token counts equal to 1); used by the
-  (max,+) eigenvalue and as an independent cross-check.
+* :func:`max_cycle_ratio` — the kernel every caller uses: multichain
+  Howard policy iteration (Cochet-Terrasson et al., IFAC 1998; Dasdan,
+  ACM TODAES 2004) over plain Python adjacency lists. Nodes that reach no
+  cycle are pruned and every other node keeps one *policy* arc. Each
+  component of the policy graph holds exactly one cycle, so evaluating a
+  policy gives every node the ratio of the cycle it leads to and a
+  potential. Improvement switches arcs lexicographically on
+  (ratio, potential) until a fixed point certifies the optimum; the best
+  cycle of the final policy is the returned witness.
 * :func:`max_cycle_ratio_brute_force` — explicit enumeration of simple
   cycles via networkx; exponential, reserved for the test-suite oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.exceptions import StructuralError
+from repro.exceptions import ConvergenceError, StructuralError
 from repro.maxplus.graph import TokenGraph
 from repro.telemetry.profile import profile_span
+
+#: Ratios and potentials closer than this, times the largest arc weight
+#: (at least 1), count as equal: float noise then cannot make the policy
+#: switch back and forth.
+_RTOL = 1e-11
+
+#: An arc as the kernel stores it: ``(head, weight, tokens)``.
+_Arc = tuple[int, float, int]
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,103 +48,12 @@ class CycleResult:
     total_tokens: int
 
 
-# ----------------------------------------------------------------------
-# Vectorized Bellman-Ford positive-cycle machinery
-# ----------------------------------------------------------------------
-class _ArcData:
-    """Pre-sorted arc arrays enabling vectorized segment-max relaxation."""
-
-    __slots__ = ("n", "src", "dst", "weight", "tokens", "starts", "seg_nodes", "order")
-
-    def __init__(self, graph: TokenGraph) -> None:
-        self.n = graph.n_nodes
-        src, dst, wgt, tok = graph.arc_arrays()
-        order = np.argsort(dst, kind="stable")
-        self.order = order
-        self.src = src[order]
-        self.dst = dst[order]
-        self.weight = wgt[order]
-        self.tokens = tok[order]
-        # Segment boundaries: arcs grouped by destination node.
-        self.seg_nodes, self.starts = np.unique(self.dst, return_index=True)
-
-
-def _positive_cycle(data: _ArcData, lam: float, eps: float) -> tuple[int, ...] | None:
-    """A cycle with ``Σ(w - λ t) > eps·|C|`` if one exists, else ``None``.
-
-    Synchronous Bellman-Ford maximizing walk gains from the all-zero
-    potential (equivalent to a virtual source towards every node). If gains
-    still improve after ``n`` rounds, a positive cycle exists; it is
-    recovered by walking the predecessor pointers.
-    """
-    n = data.n
-    if data.src.size == 0:
-        return None
-    gain = data.weight - lam * data.tokens
-    dist = np.zeros(n)
-    pred = np.full(n, -1, dtype=np.int64)  # arc index (sorted order) per node
-    big = np.int64(np.iinfo(np.int64).max)
-
-    arc_ids = np.arange(data.src.size, dtype=np.int64)
-    improved_nodes: np.ndarray | None = None
-    for _ in range(n + 1):
-        cand = dist[data.src] + gain
-        seg_max = np.maximum.reduceat(cand, data.starts)
-        better = seg_max > dist[data.seg_nodes] + eps
-        if not better.any():
-            return None
-        # argmax within each segment: first arc achieving the segment max.
-        rep = np.repeat(
-            seg_max,
-            np.diff(np.append(data.starts, cand.size)),
-        )
-        hit = np.where(cand >= rep, arc_ids, big)
-        seg_arg = np.minimum.reduceat(hit, data.starts)
-        upd = data.seg_nodes[better]
-        dist[upd] = seg_max[better]
-        pred[upd] = seg_arg[better]
-        improved_nodes = upd
-    # Still improving after n rounds: walk back n steps to land on a cycle.
-    assert improved_nodes is not None
-    v = int(improved_nodes[0])
-    for _ in range(n):
-        v = int(data.src[pred[v]])
-    cycle = [v]
-    u = int(data.src[pred[v]])
-    while u != v:
-        cycle.append(u)
-        u = int(data.src[pred[u]])
-    cycle.reverse()
-    return tuple(cycle)
-
-
-def _cycle_ratio(data: _ArcData, cycle: tuple[int, ...], lam: float) -> tuple[float, float, int]:
-    """Exact (ratio, weight, tokens) of the cycle found at level ``lam``.
-
-    Among parallel arcs ``u → v`` the walk used the one with the largest
-    gain at ``lam``; we re-select it deterministically.
-    """
-    total_w, total_t = 0.0, 0.0
-    k = len(cycle)
-    for i in range(k):
-        u, v = cycle[i], cycle[(i + 1) % k]
-        mask = (data.src == u) & (data.dst == v)
-        if not mask.any():
-            raise StructuralError("cycle walk used a non-existent arc")
-        gains = data.weight[mask] - lam * data.tokens[mask]
-        j = int(np.argmax(gains))
-        total_w += float(data.weight[mask][j])
-        total_t += float(data.tokens[mask][j])
-    if total_t <= 0:
-        raise StructuralError("critical cycle carries no token (dead TPN)")
-    return total_w / total_t, total_w, int(total_t)
-
-
 def max_cycle_ratio(graph: TokenGraph) -> CycleResult | None:
     """Maximum cycle ratio of a token graph, or ``None`` if acyclic.
 
     Raises :class:`StructuralError` when the graph contains a zero-token
-    cycle (a dead timed event graph whose ratio would be infinite).
+    cycle (a dead timed event graph whose ratio would be infinite), and
+    :class:`ConvergenceError` if the policy iteration exceeds its bound.
     """
     with profile_span("critical_cycle"):
         return _max_cycle_ratio(graph)
@@ -147,68 +62,131 @@ def max_cycle_ratio(graph: TokenGraph) -> CycleResult | None:
 def _max_cycle_ratio(graph: TokenGraph) -> CycleResult | None:
     if graph.has_zero_token_cycle():
         raise StructuralError("graph has a zero-token cycle: the TPN is not live")
-    data = _ArcData(graph)
-    if data.src.size == 0:
+    n = graph.n_nodes
+    out: list[list[_Arc]] = [[] for _ in range(n)]
+    preds: list[list[int]] = [[] for _ in range(n)]
+    scale = 1.0
+    for a in graph:
+        out[a.src].append((a.dst, a.weight, a.tokens))
+        preds[a.dst].append(a.src)
+        scale = max(scale, abs(a.weight))
+    eps = _RTOL * scale
+
+    # Prune the nodes that reach no cycle: strip out-degree-0 nodes until
+    # every remaining node keeps an out-arc to a remaining node.
+    degree = [len(arcs) for arcs in out]
+    stack = [u for u in range(n) if not degree[u]]
+    while stack:
+        for u in preds[stack.pop()]:
+            degree[u] -= 1
+            if not degree[u]:
+                stack.append(u)
+    alive = [u for u in range(n) if degree[u]]
+    if not alive:
         return None
+    for u in alive:
+        out[u] = [arc for arc in out[u] if degree[arc[0]]]
 
-    scale = float(np.abs(data.weight).max()) if data.weight.size else 1.0
-    eps = max(scale, 1.0) * 1e-12
-
-    # Start strictly below every possible cycle ratio (a cycle's ratio is
-    # at least the smallest weight/token quotient of its arcs) so even a
-    # ratio-0 critical cycle yields a strictly positive gain.
-    lam = float(np.min(data.weight / np.maximum(data.tokens, 1.0)))
-    lam = min(lam, 0.0) - max(scale, 1.0) * 1e-9
-    best: CycleResult | None = None
-    # Cycle-ratio iteration: each pass either proves optimality or jumps to
-    # a strictly larger simple-cycle ratio, so termination is finite.
-    for _ in range(graph.n_arcs + 2):
-        cycle = _positive_cycle(data, lam, eps)
-        if cycle is None:
-            return best
-        ratio, w, t = _cycle_ratio(data, cycle, lam)
-        if best is not None and ratio <= best.ratio + eps:
-            # Numerical stall: the witness no longer improves the ratio.
-            return best
-        best = CycleResult(ratio, cycle, w, t)
-        lam = ratio
-    return best  # pragma: no cover - safeguarded by finite ratio set
+    # The policy: one out-arc per node, first the heaviest. Pruned nodes
+    # are never visited, so their entries do not matter.
+    policy = [max(arcs, key=lambda arc: arc[1], default=None) for arcs in out]
+    ratio = [0.0] * n
+    pot = [0.0] * n
+    for _ in range(50 * graph.n_arcs + 100):
+        cycles = _evaluate(alive, policy, ratio, pot)
+        switches = _improve(alive, out, policy, ratio, pot, eps)
+        if not switches:
+            r, nodes, w, t = max(cycles, key=lambda c: c[0])
+            return CycleResult(r, tuple(nodes), w, t)
+        for u, arc in switches:
+            policy[u] = arc
+    raise ConvergenceError("Howard policy iteration did not converge")
 
 
-def max_mean_cycle_karp(graph: TokenGraph) -> float:
-    """Maximum mean cycle weight (token counts ignored), by Karp's DP.
+def _evaluate(
+    alive: list[int],
+    policy: list[_Arc | None],
+    ratio: list[float],
+    pot: list[float],
+) -> list[tuple[float, list[int], float, int]]:
+    """Ratios and potentials of a policy; returns its cycles.
 
-    Requires at least one cycle. Works per SCC and returns the global max.
-    ``D[k, v]`` is the maximum weight of an edge progression of length
-    ``k`` from an arbitrary root; the answer is
-    ``max_v min_k (D[n, v] - D[k, v]) / (n - k)``.
+    ``ratio[u]`` becomes the ratio of the cycle ``u`` leads to, and the
+    potentials satisfy ``pot[u] = w - ratio[u]·t + pot[v]`` for the policy
+    arc ``(v, w, t)`` of ``u``. Each cycle keeps the potential of the node
+    where it is entered, so a cycle that survives from the previous policy
+    keeps all its potentials.
     """
-    best = -np.inf
-    for comp in graph.strongly_connected_components():
-        sub, _ = graph.subgraph(comp)
-        if sub.n_arcs == 0:
+    cycles = []
+    state = [0] * len(policy)  # 0 new, 1 on the walk, 2 evaluated
+    for start in alive:
+        if state[start]:
             continue
-        src, dst, wgt, _ = sub.arc_arrays()
-        n = sub.n_nodes
-        d = np.full((n + 1, n), -np.inf)
-        d[0, 0] = 0.0
-        for k in range(1, n + 1):
-            cand = d[k - 1, src] + wgt
-            np.maximum.at(d[k], dst, cand)
-        finite = np.isfinite(d[n])
-        if not finite.any():
-            continue
-        with np.errstate(invalid="ignore"):
-            ks = np.arange(n)[:, None]
-            ratios = (d[n][None, :] - d[:n, :]) / (n - ks)
-        # min over k of the ratio, only where D[k, v] is finite.
-        ratios = np.where(np.isfinite(d[:n, :]), ratios, np.inf)
-        per_node = ratios.min(axis=0)
-        comp_best = per_node[finite].max()
-        best = max(best, float(comp_best))
-    if not np.isfinite(best):
-        raise StructuralError("max_mean_cycle_karp requires at least one cycle")
-    return best
+        walk = []
+        u = start
+        while not state[u]:
+            state[u] = 1
+            walk.append(u)
+            u = policy[u][0]
+        tree = walk
+        if state[u] == 1:  # the walk closed a new cycle at u
+            k = walk.index(u)
+            cycle, tree = walk[k:], walk[:k]
+            total_w = sum(policy[x][1] for x in cycle)
+            total_t = sum(policy[x][2] for x in cycle)
+            r = total_w / total_t
+            cycles.append((r, cycle, total_w, total_t))
+            ratio[u] = r
+            for x in reversed(cycle[1:]):
+                v, w, t = policy[x]
+                ratio[x] = r
+                pot[x] = w - r * t + pot[v]
+        for x in reversed(tree):
+            v, w, t = policy[x]
+            ratio[x] = ratio[v]
+            pot[x] = w - ratio[v] * t + pot[v]
+        for x in walk:
+            state[x] = 2
+    return cycles
+
+
+def _improve(
+    alive: list[int],
+    out: list[list[_Arc]],
+    policy: list[_Arc | None],
+    ratio: list[float],
+    pot: list[float],
+    eps: float,
+) -> list[tuple[int, _Arc]]:
+    """The policy switches that improve ``(ratio, potential)``.
+
+    Arcs towards a larger ratio win first; only when no node can raise its
+    ratio do arcs of equal ratio compete on potential. An empty list means
+    the policy is optimal.
+    """
+    switches = []
+    for u in alive:
+        best, choice = ratio[u] + eps, None
+        for arc in out[u]:
+            if ratio[arc[0]] > best:
+                best, choice = ratio[arc[0]], arc
+        if choice is not None:
+            switches.append((u, choice))
+    if switches:
+        return switches
+    for u in alive:
+        r = ratio[u]
+        v, w, t = policy[u]
+        best, choice = w - r * t + pot[v] + eps, None
+        for arc in out[u]:
+            v, w, t = arc
+            if ratio[v] >= r - eps:
+                value = w - r * t + pot[v]
+                if value > best:
+                    best, choice = value, arc
+        if choice is not None:
+            switches.append((u, choice))
+    return switches
 
 
 def max_cycle_ratio_brute_force(graph: TokenGraph) -> CycleResult | None:
@@ -224,11 +202,8 @@ def max_cycle_ratio_brute_force(graph: TokenGraph) -> CycleResult | None:
     best: CycleResult | None = None
     for cyc in nx.simple_cycles(g):
         k = len(cyc)
-        total_w = total_t = 0.0
-        # Parallel arcs: the ratio-maximizing choice per hop is ambiguous
-        # (it depends on λ); enumerate greedily over each parallel bundle
-        # by taking the max-weight/min-token dominant candidates. For the
-        # oracle we simply try every combination when bundles are small.
+        # Parallel arcs: the ratio-maximizing choice per hop depends on the
+        # other hops, so try every combination (bundles are tiny here).
         options_per_hop = []
         for i in range(k):
             u, v = cyc[i], cyc[(i + 1) % k]
@@ -236,9 +211,6 @@ def max_cycle_ratio_brute_force(graph: TokenGraph) -> CycleResult | None:
                 (d["weight"], d["tokens"]) for d in g.get_edge_data(u, v).values()
             ]
             options_per_hop.append(bundle)
-        # Cartesian product over parallel bundles (tiny in practice).
-        import itertools
-
         for combo in itertools.product(*options_per_hop):
             total_w = sum(w for w, _ in combo)
             total_t = sum(t for _, t in combo)

@@ -10,10 +10,9 @@ from a TPN by mapping transitions to nodes and places to arcs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator
-
-import numpy as np
 
 from repro.exceptions import StructuralError
 
@@ -30,7 +29,7 @@ class Arc:
     def __post_init__(self) -> None:
         if self.tokens < 0:
             raise StructuralError(f"negative token count on arc {self}")
-        if not np.isfinite(self.weight):
+        if not math.isfinite(self.weight):
             raise StructuralError(f"non-finite weight on arc {self}")
 
 
@@ -74,18 +73,6 @@ class TokenGraph:
         return f"TokenGraph(nodes={self._n}, arcs={len(self._arcs)})"
 
     # ------------------------------------------------------------------
-    def arc_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized view ``(src, dst, weight, tokens)`` for the solvers."""
-        if not self._arcs:
-            empty_i = np.empty(0, dtype=np.int64)
-            empty_f = np.empty(0, dtype=float)
-            return empty_i, empty_i.copy(), empty_f, empty_f.copy()
-        src = np.fromiter((a.src for a in self._arcs), dtype=np.int64)
-        dst = np.fromiter((a.dst for a in self._arcs), dtype=np.int64)
-        wgt = np.fromiter((a.weight for a in self._arcs), dtype=float)
-        tok = np.fromiter((float(a.tokens) for a in self._arcs), dtype=float)
-        return src, dst, wgt, tok
-
     def to_networkx(self):
         """A ``networkx.MultiDiGraph`` view (used by tests / brute force)."""
         import networkx as nx
@@ -96,44 +83,26 @@ class TokenGraph:
             g.add_edge(a.src, a.dst, weight=a.weight, tokens=a.tokens)
         return g
 
-    # ------------------------------------------------------------------
-    def strongly_connected_components(self) -> list[list[int]]:
-        """SCCs of the underlying digraph (singletons included)."""
-        import networkx as nx
-
-        g = nx.DiGraph()
-        g.add_nodes_from(range(self._n))
-        g.add_edges_from((a.src, a.dst) for a in self._arcs)
-        return [sorted(c) for c in nx.strongly_connected_components(g)]
-
-    def subgraph(self, nodes: Iterable[int]) -> tuple["TokenGraph", dict[int, int]]:
-        """Induced subgraph with relabelled nodes; returns (graph, old→new)."""
-        keep = sorted(set(nodes))
-        relabel = {old: new for new, old in enumerate(keep)}
-        sub = TokenGraph(max(len(keep), 1))
-        for a in self._arcs:
-            if a.src in relabel and a.dst in relabel:
-                sub.add_arc(
-                    relabel[a.src], relabel[a.dst], weight=a.weight, tokens=a.tokens
-                )
-        return sub, relabel
-
     def has_zero_token_cycle(self) -> bool:
         """Whether some cycle carries no token (a dead / non-live TPN).
 
         Such a cycle can never fire: the maximum cycle ratio would be
         ``+inf``. The builders never produce one; this check guards
-        hand-built graphs.
+        hand-built graphs. Kahn's topological sort over the zero-token
+        arcs: it removes every node exactly when they form no cycle.
         """
-        import networkx as nx
-
-        g = nx.DiGraph()
-        g.add_nodes_from(range(self._n))
-        g.add_edges_from(
-            (a.src, a.dst) for a in self._arcs if a.tokens == 0
-        )
-        try:
-            nx.find_cycle(g)
-            return True
-        except nx.NetworkXNoCycle:
-            return False
+        succ: list[list[int]] = [[] for _ in range(self._n)]
+        indegree = [0] * self._n
+        for a in self._arcs:
+            if a.tokens == 0:
+                succ[a.src].append(a.dst)
+                indegree[a.dst] += 1
+        stack = [v for v in range(self._n) if not indegree[v]]
+        removed = 0
+        while stack:
+            removed += 1
+            for v in succ[stack.pop()]:
+                indegree[v] -= 1
+                if not indegree[v]:
+                    stack.append(v)
+        return removed < self._n

@@ -123,10 +123,10 @@ class MaxPlusMatrix:
         """(max,+) eigenvalue of an irreducible matrix.
 
         Equals the maximum mean cycle weight of the precedence graph
-        (Baccelli et al. [2], Thm. 3.23). Computed by delegating to the
-        cycle engine with unit token counts.
+        (Baccelli et al. [2], Thm. 3.23): the maximum cycle ratio of that
+        graph with one token on every arc.
         """
-        from repro.maxplus.cycle import max_mean_cycle_karp
+        from repro.maxplus.cycle import max_cycle_ratio
         from repro.maxplus.graph import TokenGraph
 
         if not self.is_irreducible():
@@ -135,4 +135,7 @@ class MaxPlusMatrix:
         rows, cols = np.nonzero(np.isfinite(self._a))
         for i, j in zip(rows.tolist(), cols.tolist()):
             g.add_arc(i, j, weight=float(self._a[i, j]), tokens=1)
-        return max_mean_cycle_karp(g)
+        res = max_cycle_ratio(g)
+        if res is None:
+            raise StructuralError("eigenvalue requires at least one cycle")
+        return res.ratio

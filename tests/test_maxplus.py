@@ -13,7 +13,6 @@ from repro.maxplus import (
     TokenGraph,
     max_cycle_ratio,
     max_cycle_ratio_brute_force,
-    max_mean_cycle_karp,
     oplus,
     otimes,
 )
@@ -117,21 +116,6 @@ class TestTokenGraph:
         g2.add_arc(1, 0, weight=1.0, tokens=1)
         assert not g2.has_zero_token_cycle()
 
-    def test_sccs(self):
-        g = TokenGraph(4)
-        g.add_arc(0, 1, weight=0.0, tokens=1)
-        g.add_arc(1, 0, weight=0.0, tokens=1)
-        g.add_arc(1, 2, weight=0.0, tokens=0)
-        comps = g.strongly_connected_components()
-        assert sorted(map(tuple, comps)) == [(0, 1), (2,), (3,)]
-
-    def test_subgraph_relabels(self):
-        g = TokenGraph(4)
-        g.add_arc(2, 3, weight=5.0, tokens=1)
-        sub, relabel = g.subgraph([2, 3])
-        assert sub.n_nodes == 2
-        assert sub.arcs[0].src == relabel[2]
-
 
 def _simple_cycle_graph() -> TokenGraph:
     """Two nested cycles with known ratios 3.0 and 2.0."""
@@ -212,36 +196,45 @@ class TestMaxCycleRatio:
         assert res.ratio == pytest.approx(oracle.ratio, rel=1e-9)
 
 
+def _unit_token_graph(a: np.ndarray) -> TokenGraph:
+    """The precedence graph of a (max,+) matrix, one token per arc."""
+    g = TokenGraph(a.shape[0])
+    for i, j in zip(*np.nonzero(np.isfinite(a))):
+        g.add_arc(int(i), int(j), weight=float(a[i, j]), tokens=1)
+    return g
+
+
 class TestKarp:
+    """Karp's maximum-mean-cycle problem, solved as the (max,+) eigenvalue."""
+
     def test_max_mean_cycle(self):
-        g = TokenGraph(3)
-        g.add_arc(0, 1, weight=2.0, tokens=1)
-        g.add_arc(1, 0, weight=4.0, tokens=1)
-        g.add_arc(2, 2, weight=5.0, tokens=1)
-        assert max_mean_cycle_karp(g) == pytest.approx(5.0)
+        a = np.full((3, 3), NEG_INF)
+        a[0, 1], a[1, 0] = 2.0, 4.0  # mean 3
+        a[2, 2] = 5.0  # mean 5
+        a[1, 2], a[2, 0] = 1.0, 1.0  # 0 -> 1 -> 2 -> 0: mean 4/3
+        value = MaxPlusMatrix(a).eigenvalue()
+        assert value == pytest.approx(5.0)
+        assert value == max_cycle_ratio_brute_force(_unit_token_graph(a)).ratio
 
     def test_agrees_with_ratio_solver_on_unit_tokens(self):
         for seed in range(10):
             r = np.random.default_rng(100 + seed)
             n = int(r.integers(2, 6))
-            g = TokenGraph(n)
+            a = np.full((n, n), NEG_INF)
             perm = r.permutation(n)
             for i in range(n):
-                g.add_arc(
-                    int(perm[i]), int(perm[(i + 1) % n]),
-                    weight=float(r.uniform(0, 5)), tokens=1,
-                )
+                a[perm[i], perm[(i + 1) % n]] = r.uniform(0, 5)
             for _ in range(n):
-                g.add_arc(
-                    int(r.integers(n)), int(r.integers(n)),
-                    weight=float(r.uniform(0, 5)), tokens=1,
-                )
-            assert max_mean_cycle_karp(g) == pytest.approx(
-                max_cycle_ratio(g).ratio, rel=1e-9
+                u, v = r.integers(n, size=2)
+                a[u, v] = max(a[u, v], r.uniform(0, 5))
+            oracle = max_cycle_ratio_brute_force(_unit_token_graph(a))
+            # Both compute one cycle's mean, summing its arcs in their own
+            # order: they agree up to rounding.
+            assert MaxPlusMatrix(a).eigenvalue() == pytest.approx(
+                oracle.ratio, rel=1e-9
             )
 
     def test_acyclic_raises(self):
-        g = TokenGraph(2)
-        g.add_arc(0, 1, weight=1.0, tokens=1)
+        """A single node without a self-loop is irreducible but acyclic."""
         with pytest.raises(StructuralError):
-            max_mean_cycle_karp(g)
+            MaxPlusMatrix(np.full((1, 1), NEG_INF)).eigenvalue()

@@ -1,4 +1,4 @@
-"""Tests for the Howard solver and the dater recursion."""
+"""Tests for the Howard cycle-ratio kernel and the dater recursion."""
 
 from __future__ import annotations
 
@@ -10,13 +10,26 @@ from repro.maxplus import (
     TokenGraph,
     dater_evolution,
     dater_throughput,
-    howard_max_cycle_ratio,
     max_cycle_ratio,
+    max_cycle_ratio_brute_force,
 )
 from repro.maxplus.dater import sample_times
 from repro.petri import build_overlap_tpn, build_strict_tpn
 
 from tests.conftest import make_mapping
+
+
+def assert_matches_oracle(g: TokenGraph) -> float:
+    """The kernel's ratio, checked against brute-force enumeration.
+
+    Both sum the arcs of the critical cycle, in different orders, so they
+    agree up to rounding.
+    """
+    res = max_cycle_ratio(g)
+    oracle = max_cycle_ratio_brute_force(g)
+    assert res is not None and oracle is not None
+    assert res.ratio == pytest.approx(oracle.ratio, rel=1e-9)
+    return res.ratio
 
 
 class TestHoward:
@@ -26,27 +39,29 @@ class TestHoward:
         g.add_arc(1, 0, weight=4.0, tokens=1)
         g.add_arc(1, 2, weight=1.0, tokens=0)
         g.add_arc(2, 1, weight=3.0, tokens=2)
-        assert howard_max_cycle_ratio(g) == pytest.approx(3.0)
+        assert assert_matches_oracle(g) == pytest.approx(3.0)
 
     def test_acyclic_returns_none(self):
         g = TokenGraph(2)
         g.add_arc(0, 1, weight=1.0, tokens=1)
-        assert howard_max_cycle_ratio(g) is None
+        assert max_cycle_ratio(g) is None
+        assert max_cycle_ratio_brute_force(g) is None
 
     def test_self_loop(self):
         g = TokenGraph(1)
         g.add_arc(0, 0, weight=6.0, tokens=3)
-        assert howard_max_cycle_ratio(g) == pytest.approx(2.0)
+        assert assert_matches_oracle(g) == pytest.approx(2.0)
 
     def test_zero_token_cycle_raises(self):
         g = TokenGraph(2)
         g.add_arc(0, 1, weight=1.0, tokens=0)
         g.add_arc(1, 0, weight=1.0, tokens=0)
         with pytest.raises(StructuralError):
-            howard_max_cycle_ratio(g)
+            max_cycle_ratio(g)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_agrees_with_cycle_iteration(self, seed):
+        """Random live graphs: Howard against iterating over every cycle."""
         r = np.random.default_rng(seed)
         n = int(r.integers(2, 9))
         g = TokenGraph(n)
@@ -61,19 +76,14 @@ class TestHoward:
                 int(r.integers(n)), int(r.integers(n)),
                 weight=float(r.uniform(0, 10)), tokens=int(r.integers(1, 4)),
             )
-        a = max_cycle_ratio(g)
-        b = howard_max_cycle_ratio(g)
-        assert b == pytest.approx(a.ratio, rel=1e-9)
+        assert_matches_oracle(g)
 
     def test_on_paper_nets(self):
-        """Both engines agree on real overlap/strict nets."""
+        """Real overlap/strict nets."""
         for seed in range(4):
             mp = make_mapping([[0], [1, 2], [3]], seed=seed)
             for build in (build_overlap_tpn, build_strict_tpn):
-                g = build(mp).to_token_graph()
-                assert howard_max_cycle_ratio(g) == pytest.approx(
-                    max_cycle_ratio(g).ratio, rel=1e-9
-                )
+                assert_matches_oracle(build(mp).to_token_graph())
 
 
 class TestDater:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -17,6 +19,7 @@ from repro.core import (
 )
 from repro.core.pattern import CommPattern, build_pattern_tpn
 from repro.distributions import make_distribution
+from repro.exceptions import StructuralError
 from repro.mapping.roundrobin import all_paths, lcm_all
 from repro.maxplus import TokenGraph, max_cycle_ratio, max_cycle_ratio_brute_force
 from repro.petri import build_overlap_tpn, build_strict_tpn, is_feed_forward, is_live
@@ -33,6 +36,38 @@ coprime_sides = st.tuples(
 replications = st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(
     lambda r: lcm_all(r) <= 24
 )
+
+
+@st.composite
+def token_graphs(draw):
+    """Small token graphs with everything the kernel must handle.
+
+    Nodes fall into up to three blocks, and an arc between two blocks
+    always points to the later one, so the SCCs split along the blocks
+    and the zero-token arcs between blocks lie on no cycle. Arcs are
+    drawn with repetition, which gives parallel arcs and self-loops;
+    sparse draws leave sources, sinks and acyclic graphs. Whole-number
+    weights make ties between cycles common.
+    """
+    n = draw(st.integers(1, 6))
+    block = sorted(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    weights = st.one_of(
+        st.integers(0, 4).map(float),
+        st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
+    )
+    arcs = draw(st.lists(
+        st.tuples(
+            st.integers(0, n - 1), st.integers(0, n - 1),
+            weights, st.sampled_from([0, 1, 1, 2, 3]),
+        ),
+        max_size=3 * n,
+    ))
+    g = TokenGraph(n)
+    for u, v, w, t in arcs:
+        if block[u] > block[v]:
+            u, v = v, u
+        g.add_arc(u, v, weight=w, tokens=t)
+    return g
 
 
 def mapping_from_replication(reps: list[int]):
@@ -144,6 +179,50 @@ class TestMaxPlusProperties:
         oracle = max_cycle_ratio_brute_force(g)
         assert res is not None and oracle is not None
         assert res.ratio == pytest.approx(oracle.ratio, rel=1e-9, abs=1e-9)
+
+    @given(token_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_kernel_matches_brute_force(self, g):
+        """Howard against cycle enumeration, on the same random graphs."""
+        zero = nx.DiGraph()
+        zero.add_nodes_from(range(g.n_nodes))
+        zero.add_edges_from((a.src, a.dst) for a in g if a.tokens == 0)
+        try:
+            nx.find_cycle(zero)
+            dead = True
+        except nx.NetworkXNoCycle:
+            dead = False
+        assert g.has_zero_token_cycle() == dead
+        if dead:
+            with pytest.raises(StructuralError):
+                max_cycle_ratio(g)
+            return
+
+        res = max_cycle_ratio(g)
+        oracle = max_cycle_ratio_brute_force(g)
+        assert (res is None) == (oracle is None)  # acyclic: None from both
+        if oracle is None:
+            return
+        # The two sum a cycle's arcs in different orders, so the ratios
+        # differ by rounding; abs covers ratios at or near zero.
+        assert res.ratio == pytest.approx(oracle.ratio, rel=1e-9, abs=1e-9)
+
+        # The witness is a closed walk, and some choice among its parallel
+        # arcs gives exactly its totals: the kernel adds the walk's arcs
+        # in walk order from nodes[0], as the sums below do.
+        k = len(res.nodes)
+        hops = [
+            [(a.weight, a.tokens) for a in g
+             if a.src == res.nodes[i] and a.dst == res.nodes[(i + 1) % k]]
+            for i in range(k)
+        ]
+        assert all(hops)
+        assert any(
+            sum(w for w, _ in combo) == res.total_weight
+            and sum(t for _, t in combo) == res.total_tokens
+            for combo in itertools.product(*hops)
+        )
+        assert res.ratio == res.total_weight / res.total_tokens
 
     @given(st.floats(0.1, 10.0), st.integers(1, 5))
     def test_scaling_law(self, scale, tokens):
