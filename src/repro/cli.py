@@ -177,37 +177,94 @@ def _make_recorder(args, parser):
         parser.error(f"cannot open --recorder {args.recorder}: {exc}")
 
 
-def _cmd_serve_orchestrator(args, parser) -> int:
-    from repro.exceptions import ServiceError
-    from repro.service import (
-        OrchestratorServer,
-        RetryPolicy,
-        WorkerCatalog,
-        parse_endpoints,
-    )
+def _orchestrator_catalog(args, parser):
+    """The empty worker catalog the shared orchestrator flags configure.
 
-    if not args.workers:
-        parser.error("--role orchestrator requires --workers HOST:PORT,...")
+    ``serve --role orchestrator`` and ``fleet`` share these flags; a bad
+    value exits through ``parser.error``.
+    """
+    from repro.service import WorkerCatalog
+
     if args.max_worker_failures < 1:
         parser.error("--max-worker-failures must be >= 1")
     if args.ping_interval is not None and args.ping_interval <= 0:
         parser.error("--ping-interval must be > 0")
-    if args.failover_sweeps < 1:
-        parser.error("--failover-sweeps must be >= 1")
     if args.breaker_cooldown < 0:
         parser.error("--breaker-cooldown must be >= 0")
     if args.hedge_threshold is not None and args.hedge_threshold <= 0:
         parser.error("--hedge-threshold must be > 0")
     if args.max_unit_attempts < 1:
         parser.error("--max-unit-attempts must be >= 1")
+    return WorkerCatalog(
+        max_consecutive_failures=args.max_worker_failures,
+        breaker_cooldown_s=args.breaker_cooldown,
+    )
+
+
+def _orchestrator_server(args, catalog, *, retry, recorder):
+    """The ``OrchestratorServer`` the orchestrator flags describe."""
+    from repro.service import OrchestratorServer
+
+    return OrchestratorServer(
+        catalog,
+        strategy=args.strategy,
+        host=args.host,
+        port=args.port,
+        retry=retry,
+        ping_interval=args.ping_interval,
+        hedge=not args.no_hedge,
+        hedge_threshold=args.hedge_threshold,
+        max_unit_attempts=args.max_unit_attempts,
+        recorder=recorder,
+    )
+
+
+def _announce_orchestrator(args, server) -> None:
+    """Publish the ready file and print the orchestrator's banner."""
+    host, port = server.endpoint
+    if args.ready_file:
+        server.write_ready_file(args.ready_file)
+    print(f"serving    : {host}:{port} (orchestrator)")
+    print(f"strategy   : {args.strategy}")
+    print("workers    : " + ", ".join(
+        f"{w.name}={w.endpoint}" for w in server.catalog.workers()
+    ))
+
+
+def _serve_until_shutdown(server, *resources) -> int:
+    """Serve until a ``shutdown`` op (or Ctrl-C), drain, close ``resources``.
+
+    A shutdown from one client must not discard another client's
+    mid-evaluation batch: dispatched requests finish and reply before
+    the process exits (idle connections don't block it).
+    """
+    try:
+        server.serve_forever()
+    except KeyboardInterrupt:  # pragma: no cover - interactive only
+        pass
+    finally:
+        server.server_close()
+        server.wait_for_inflight(timeout=600.0)
+        for resource in resources:
+            if resource is not None:
+                resource.close()
+    print("stopped")
+    return 0
+
+
+def _cmd_serve_orchestrator(args, parser) -> int:
+    from repro.exceptions import ServiceError
+    from repro.service import RetryPolicy, parse_endpoints
+
+    if not args.workers:
+        parser.error("--role orchestrator requires --workers HOST:PORT,...")
+    if args.failover_sweeps < 1:
+        parser.error("--failover-sweeps must be >= 1")
+    catalog = _orchestrator_catalog(args, parser)
     try:
         endpoints = parse_endpoints(args.workers)
     except ServiceError as exc:
         parser.error(str(exc))
-    catalog = WorkerCatalog(
-        max_consecutive_failures=args.max_worker_failures,
-        breaker_cooldown_s=args.breaker_cooldown,
-    )
     for worker_host, worker_port in endpoints:
         catalog.register(worker_host, worker_port)
     retry = (
@@ -216,44 +273,16 @@ def _cmd_serve_orchestrator(args, parser) -> int:
     )
     recorder = _make_recorder(args, parser)
     try:
-        server = OrchestratorServer(
-            catalog,
-            strategy=args.strategy,
-            host=args.host,
-            port=args.port,
-            retry=retry,
-            ping_interval=args.ping_interval,
-            hedge=not args.no_hedge,
-            hedge_threshold=args.hedge_threshold,
-            max_unit_attempts=args.max_unit_attempts,
-            recorder=recorder,
-        )
+        server = _orchestrator_server(args, catalog, retry=retry, recorder=recorder)
     except OSError as exc:
         parser.error(f"cannot bind {args.host}:{args.port}: {exc}")
     except ServiceError as exc:
         parser.error(str(exc))
-    host, port = server.endpoint
-    if args.ready_file:
-        server.write_ready_file(args.ready_file)
-    print(f"serving    : {host}:{port} (orchestrator)")
-    print(f"strategy   : {args.strategy}")
-    print("workers    : " + ", ".join(
-        f"{w.name}={w.endpoint}" for w in catalog.workers()
-    ))
+    _announce_orchestrator(args, server)
     if recorder is not None:
         print(f"recorder   : {args.recorder}")
     sys.stdout.flush()
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
-        pass
-    finally:
-        server.server_close()
-        server.wait_for_inflight(timeout=600.0)
-        if recorder is not None:
-            recorder.close()
-    print("stopped")
-    return 0
+    return _serve_until_shutdown(server, recorder)
 
 
 def _cmd_serve(args, parser) -> int:
@@ -326,21 +355,7 @@ def _cmd_serve(args, parser) -> int:
     if recorder is not None:
         print(f"recorder   : {args.recorder}")
     sys.stdout.flush()
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
-        pass
-    finally:
-        server.server_close()
-        # A shutdown from one client must not discard another client's
-        # mid-evaluation batch: dispatched requests finish and reply
-        # before the process exits (idle connections don't block it).
-        server.wait_for_inflight(timeout=600.0)
-        engine.close()
-        if recorder is not None:
-            recorder.close()
-    print("stopped")
-    return 0
+    return _serve_until_shutdown(server, engine, recorder)
 
 
 def _parse_fleet_faults(spec: str, n_workers: int) -> dict[int, str]:
@@ -388,9 +403,7 @@ def _cmd_fleet(args, parser) -> int:
     from repro.exceptions import ServiceError
     from repro.service import (
         FleetSupervisor,
-        OrchestratorServer,
         RetryPolicy,
-        WorkerCatalog,
         spawn_worker,
         wait_for_ready_file,
     )
@@ -401,16 +414,6 @@ def _cmd_fleet(args, parser) -> int:
         parser.error("--worker-n-jobs must be >= 1")
     if args.max_entries is not None and args.max_entries < 1:
         parser.error("--max-entries must be >= 1")
-    if args.max_worker_failures < 1:
-        parser.error("--max-worker-failures must be >= 1")
-    if args.ping_interval is not None and args.ping_interval <= 0:
-        parser.error("--ping-interval must be > 0")
-    if args.breaker_cooldown < 0:
-        parser.error("--breaker-cooldown must be >= 0")
-    if args.hedge_threshold is not None and args.hedge_threshold <= 0:
-        parser.error("--hedge-threshold must be > 0")
-    if args.max_unit_attempts < 1:
-        parser.error("--max-unit-attempts must be >= 1")
     if args.capacity is not None and args.capacity < 1:
         parser.error("--capacity must be >= 1")
     if args.max_pool_restarts is not None and args.max_pool_restarts < 0:
@@ -423,6 +426,7 @@ def _cmd_fleet(args, parser) -> int:
         parser.error("--max-worker-restarts must be >= 0")
     if args.supervisor_interval <= 0:
         parser.error("--supervisor-interval must be > 0")
+    catalog = _orchestrator_catalog(args, parser)
     fault_plans: dict[int, str] = {}
     if args.faults:
         try:
@@ -447,11 +451,6 @@ def _cmd_fleet(args, parser) -> int:
             parser.error(
                 f"cannot create --recorder-dir {args.recorder_dir}: {exc}"
             )
-
-    catalog = WorkerCatalog(
-        max_consecutive_failures=args.max_worker_failures,
-        breaker_cooldown_s=args.breaker_cooldown,
-    )
 
     def worker_spawn_kwargs(index: int) -> dict:
         return dict(
@@ -503,17 +502,8 @@ def _cmd_fleet(args, parser) -> int:
                 print(f"fleet startup failed: {exc}", file=sys.stderr)
                 return 1
             try:
-                server = OrchestratorServer(
-                    catalog,
-                    strategy=args.strategy,
-                    host=args.host,
-                    port=args.port,
-                    retry=RetryPolicy(),
-                    ping_interval=args.ping_interval,
-                    hedge=not args.no_hedge,
-                    hedge_threshold=args.hedge_threshold,
-                    max_unit_attempts=args.max_unit_attempts,
-                    recorder=recorder,
+                server = _orchestrator_server(
+                    args, catalog, retry=RetryPolicy(), recorder=recorder
                 )
             except OSError as exc:
                 print(
@@ -576,14 +566,7 @@ def _cmd_fleet(args, parser) -> int:
                     )
                 server.supervisor = supervisor
                 supervisor.start()
-            host, port = server.endpoint
-            if args.ready_file:
-                server.write_ready_file(args.ready_file)
-            print(f"serving    : {host}:{port} (orchestrator)")
-            print(f"strategy   : {args.strategy}")
-            print("workers    : " + ", ".join(
-                f"{w.name}={w.endpoint}" for w in catalog.workers()
-            ))
+            _announce_orchestrator(args, server)
             if args.supervise:
                 print(
                     f"supervisor : every {args.supervisor_interval}s, "

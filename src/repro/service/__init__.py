@@ -19,10 +19,12 @@ over a loopback socket:
 * :mod:`repro.service.faults` — deterministic counted fault injection
   (dropped replies, delays, worker crashes, torn cache tails) behind
   the chaos tests and ``repro.cli serve --faults``;
+* :mod:`repro.service.host` — the loopback server both roles run on:
+  the frame loop, bounded admission with load shedding and
+  ``retry_after``, dispatch through a role's ops table, graceful drain;
 * :mod:`repro.service.server` / :mod:`repro.service.client` — the
-  daemon (bounded admission, load shedding with ``retry_after``,
-  graceful drain) and the client library (per-request deadlines,
-  retry with exponential backoff) behind ``repro.cli
+  worker role and the client library (per-request deadlines, retry
+  with exponential backoff) behind ``repro.cli
   serve/submit/ping/stats/shutdown`` and ``campaign run
   --via-service``;
 * :mod:`repro.service.catalog` / :mod:`repro.service.routing` /

@@ -31,7 +31,6 @@ import contextlib
 import dataclasses
 import json
 import os
-import socket
 import subprocess
 import sys
 import threading
@@ -249,59 +248,75 @@ class FleetSupervisor:
             }
 
 
-class _KillableServiceServer(ServiceServer):
-    """A worker server whose established connections can be severed.
-
-    ``socketserver`` only owns the listening socket; to simulate a
-    crashed daemon the accepted connections must die too (the
-    orchestrator's pooled clients hold them open). Connections are
-    tracked through the ``get_request``/``close_request`` hooks and
-    :meth:`kill_connections` shuts them all down hard.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        self._conns: set[socket.socket] = set()
-        self._conns_lock = threading.Lock()
-        super().__init__(*args, **kwargs)
-
-    def get_request(self):
-        request, client_address = super().get_request()
-        with self._conns_lock:
-            self._conns.add(request)
-        return request, client_address
-
-    def close_request(self, request) -> None:
-        with self._conns_lock:
-            self._conns.discard(request)
-        super().close_request(request)
-
-    def kill_connections(self) -> None:
-        with self._conns_lock:
-            conns = list(self._conns)
-            self._conns.clear()
-        for conn in conns:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-
 @dataclasses.dataclass
 class FleetWorker:
     """One in-process worker: engine + server + serving thread."""
 
     name: str
     engine: EvaluationEngine
-    server: _KillableServiceServer
+    server: ServiceServer
     thread: threading.Thread
 
     @property
     def endpoint(self) -> tuple[str, int]:
         return self.server.endpoint
+
+    def stop(self, *, kill: bool = False) -> None:
+        """Stop serving, then reclaim the engine and the recorder.
+
+        Dispatched requests drain first, unless ``kill`` severs every
+        established connection the way a crashed daemon's would.
+        """
+        self.server.shutdown()
+        self.server.server_close()
+        if kill:
+            self.server.kill_connections()
+        else:
+            self.server.wait_for_inflight(timeout=10.0)
+        self.engine.close()
+        if self.server.recorder is not None:
+            self.server.recorder.close()
+        self.thread.join(timeout=5.0)
+
+
+def _start_worker(
+    name: str,
+    config: dict,
+    *,
+    host: str = DEFAULT_HOST,
+    port: int = 0,
+    faults: str | None = None,
+    recorder_file: str,
+) -> FleetWorker:
+    """Build and serve one in-process worker from a fleet's ``config``.
+
+    ``config`` carries the engine and server settings every worker of
+    the fleet shares (``n_jobs``, ``max_entries``, ``capacity``,
+    ``recorder_dir``); ``faults`` arms this worker's injector and
+    ``recorder_file`` names its flight recorder under ``recorder_dir``.
+    """
+    recorder_dir = config["recorder_dir"]
+    server_kwargs = dict(
+        host=host,
+        capacity=config["capacity"],
+        faults=FaultInjector.from_spec(faults) if faults else None,
+        recorder=(
+            FlightRecorder(Path(recorder_dir) / recorder_file)
+            if recorder_dir is not None
+            else None
+        ),
+    )
+    engine = EvaluationEngine(
+        n_jobs=config["n_jobs"], max_entries=config["max_entries"]
+    )
+    try:
+        server = ServiceServer(engine, port=port, **server_kwargs)
+    except OSError:
+        # The registered port is still held (TIME_WAIT straggler or
+        # another process grabbed it): fall back to an ephemeral one —
+        # reannounce() will carry the new endpoint to the catalog.
+        server = ServiceServer(engine, port=0, **server_kwargs)
+    return FleetWorker(name, engine, server, server.start_thread())
 
 
 class LocalFleet:
@@ -314,15 +329,15 @@ class LocalFleet:
         orchestrator_thread: threading.Thread,
         workers: list[FleetWorker],
         *,
-        worker_config: dict | None = None,
+        worker_config: dict,
     ) -> None:
         self.catalog = catalog
         self.orchestrator = orchestrator
         self._orchestrator_thread = orchestrator_thread
         self.workers = workers
         self._stopped: set[str] = set()
-        #: Engine/server kwargs respawned workers are rebuilt with.
-        self._worker_config = dict(worker_config or {})
+        #: The ``config`` respawned workers are rebuilt with.
+        self._worker_config = worker_config
         self.supervisor: FleetSupervisor | None = None
 
     @property
@@ -349,38 +364,21 @@ class LocalFleet:
         must *discover* the death through failed forwards or pings —
         that discovery path is what the failover tests exercise.
         """
-        worker = self.worker(name)
-        if name in self._stopped:
-            return
-        # Capture the doomed server/engine/thread *before* marking the
-        # worker stopped: a running supervisor treats membership in the
-        # stopped set as "dead" and may respawn into this slot at any
-        # moment after the add() — tearing down through the slot would
-        # then sever the fresh replacement instead of the corpse.
-        server, engine, thread = worker.server, worker.engine, worker.thread
-        server.shutdown()
-        server.server_close()
-        server.kill_connections()
-        engine.close()
-        if server.recorder is not None:
-            server.recorder.close()
-        self._stopped.add(name)
-        thread.join(timeout=5.0)
+        self._stop(name, kill=True)
 
     def stop_worker(self, name: str) -> None:
         """Graceful single-worker stop (drain, then engine teardown)."""
+        self._stop(name, kill=False)
+
+    def _stop(self, name: str, *, kill: bool) -> None:
         worker = self.worker(name)
         if name in self._stopped:
             return
-        server, engine, thread = worker.server, worker.engine, worker.thread
-        server.shutdown()
-        server.server_close()
-        server.wait_for_inflight(timeout=10.0)
-        engine.close()
-        if server.recorder is not None:
-            server.recorder.close()
+        worker.stop(kill=kill)
+        # Only now mark the worker stopped: a running supervisor treats
+        # membership in the stopped set as "dead" and may respawn into
+        # this slot at any moment after the add().
         self._stopped.add(name)
-        thread.join(timeout=5.0)
 
     def respawn_worker(
         self, name: str, *, faults: str | None = None
@@ -400,47 +398,13 @@ class LocalFleet:
         if name not in self._stopped:
             raise ServiceError(f"worker {name!r} is still running")
         info = self.catalog.get(name)
-        config = self._worker_config
-        engine = EvaluationEngine(
-            n_jobs=config.get("n_jobs", 1),
-            max_entries=config.get("max_entries"),
+        fresh = _start_worker(
+            name, self._worker_config, host=info.host, port=info.port,
+            faults=faults, recorder_file=f"{name}.respawn.jsonl",
         )
-        injector = FaultInjector.from_spec(faults) if faults else None
-        recorder_dir = config.get("recorder_dir")
-        recorder = (
-            FlightRecorder(Path(recorder_dir) / f"{name}.respawn.jsonl")
-            if recorder_dir is not None
-            else None
+        worker.engine, worker.server, worker.thread = (
+            fresh.engine, fresh.server, fresh.thread
         )
-        try:
-            server = _KillableServiceServer(
-                engine,
-                host=info.host,
-                port=info.port,
-                capacity=config.get("capacity"),
-                faults=injector,
-                recorder=recorder,
-            )
-        except OSError:
-            # The registered port is still held (TIME_WAIT straggler or
-            # another process grabbed it): fall back to an ephemeral one
-            # — reannounce() will carry the new endpoint to the catalog.
-            server = _KillableServiceServer(
-                engine,
-                host=info.host,
-                port=0,
-                capacity=config.get("capacity"),
-                faults=injector,
-                recorder=recorder,
-            )
-        thread = threading.Thread(
-            target=lambda srv=server: srv.serve_forever(poll_interval=0.02),
-            daemon=True,
-        )
-        thread.start()
-        worker.engine = engine
-        worker.server = server
-        worker.thread = thread
         self._stopped.discard(name)
         return worker
 
@@ -519,35 +483,24 @@ def local_fleet(
     if breaker_cooldown_s is not None:
         catalog_kwargs["breaker_cooldown_s"] = breaker_cooldown_s
     catalog = WorkerCatalog(**catalog_kwargs)
+    worker_config = {
+        "n_jobs": n_jobs,
+        "max_entries": max_entries,
+        "capacity": capacity,
+        "recorder_dir": recorder_dir,
+    }
     workers: list[FleetWorker] = []
     fleet: LocalFleet | None = None
     try:
         for index in range(n_workers):
-            engine = EvaluationEngine(n_jobs=n_jobs, max_entries=max_entries)
-            spec = (faults or {}).get(index)
-            injector = FaultInjector.from_spec(spec) if spec else None
-            recorder = (
-                FlightRecorder(Path(recorder_dir) / f"w{index}.jsonl")
-                if recorder_dir is not None
-                else None
+            worker = _start_worker(
+                f"w{index}", worker_config,
+                faults=(faults or {}).get(index),
+                recorder_file=f"w{index}.jsonl",
             )
-            server = _KillableServiceServer(
-                engine,
-                host=DEFAULT_HOST,
-                port=0,
-                capacity=capacity,
-                faults=injector,
-                recorder=recorder,
-            )
-            thread = threading.Thread(
-                target=lambda srv=server: srv.serve_forever(poll_interval=0.02),
-                daemon=True,
-            )
-            thread.start()
-            name = f"w{index}"
-            host, port = server.endpoint
-            catalog.register(host, port, name=name, capacity=capacity)
-            workers.append(FleetWorker(name, engine, server, thread))
+            host, port = worker.endpoint
+            catalog.register(host, port, name=worker.name, capacity=capacity)
+            workers.append(worker)
         orchestrator_kwargs: dict = {}
         if max_unit_attempts is not None:
             orchestrator_kwargs["max_unit_attempts"] = max_unit_attempts
@@ -569,12 +522,7 @@ def local_fleet(
         )
         fleet = LocalFleet(
             catalog, orchestrator, orch_thread, workers,
-            worker_config={
-                "n_jobs": n_jobs,
-                "max_entries": max_entries,
-                "capacity": capacity,
-                "recorder_dir": recorder_dir,
-            },
+            worker_config=worker_config,
         )
         yield fleet
     finally:
@@ -582,10 +530,7 @@ def local_fleet(
             fleet.close()
         else:  # orchestrator never came up: reclaim the workers directly
             for worker in workers:
-                worker.server.shutdown()
-                worker.server.server_close()
-                worker.engine.close()
-                worker.thread.join(timeout=5.0)
+                worker.stop()
 
 
 # ----------------------------------------------------------------------

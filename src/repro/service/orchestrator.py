@@ -1,13 +1,14 @@
-"""The fleet orchestrator: one endpoint fronting many evaluation daemons.
+"""The fleet role: one host endpoint fronting many evaluation daemons.
 
-``OrchestratorServer`` speaks the same newline-delimited JSON protocol
-as :class:`~repro.service.server.ServiceServer`, so every existing
-client — ``repro.cli submit``, ``campaign run --via-service``, a bare
-socket — can point at an orchestrator instead of a worker without
-changing a byte of what it sends. The orchestrator owns no evaluation
-engine; it owns a :class:`~repro.service.catalog.WorkerCatalog` and a
-:mod:`routing strategy <repro.service.routing>`, and turns every work
-request into forwarded requests against the fleet:
+``OrchestratorServer`` runs on the same :mod:`service host
+<repro.service.host>` as :class:`~repro.service.server.ServiceServer`
+and speaks the same protocol, so every existing client — ``repro.cli
+submit``, ``campaign run --via-service``, a bare socket — can point at
+an orchestrator instead of a worker without changing a byte of what it
+sends. The orchestrator owns no evaluation engine; it owns a
+:class:`~repro.service.catalog.WorkerCatalog` and a :mod:`routing
+strategy <repro.service.routing>`, and turns every work request into
+forwarded requests against the fleet:
 
 * ``evaluate`` / ``solve`` / ``search`` — routed whole to the
   strategy's first-choice worker for the request's routing key, failing
@@ -16,24 +17,20 @@ request into forwarded requests against the fleet:
   its structure fingerprint), dispatched concurrently, and merged back
   into one reply in the original request order; a worker lost mid-batch
   only re-dispatches *its* shard among the survivors;
-* ``stats`` — fanned out across the fleet and aggregated: per-worker
-  rows (routing counters + the worker's own report) plus fleet totals
-  and an aggregate structure-cache hit rate;
-* ``ping`` / ``shutdown`` — answered locally (shutdown drains exactly
-  like a worker; forwarded requests in flight send their replies).
+* ``stats`` / ``metrics`` / ``profile`` — fanned out across the live
+  workers and aggregated with the orchestrator's own view;
+* ``ping`` — answered locally with a fleet summary.
 
-Failover reuses the client tier's :class:`RetryPolicy` *between* full
-candidate sweeps: within a sweep each live candidate is tried once in
-ranking order (dead workers accumulate failure streaks and are evicted
-by the catalog), and only when every candidate has failed does the
-orchestrator back off and sweep again. Transient failures with no
-survivors are reported with their *typed* error (``ServiceUnavailable``
-/ ``ServiceOverloaded``), which the client reconstructs — so a campaign
-runner's own retry loop treats a briefly headless fleet as retryable
-rather than fatal.
-
-Like the worker daemon, the orchestrator binds loopback by default and
-is an unauthenticated local accelerator, not an internet service.
+The orchestrator has no capacity of its own: workers bound their own
+admission and their overloads propagate back. Failover reuses the
+client tier's :class:`RetryPolicy` *between* full candidate sweeps:
+within a sweep each live candidate is tried once in ranking order (dead
+workers accumulate failure streaks and are evicted by the catalog), and
+only when every candidate has failed does the orchestrator back off and
+sweep again. Transient failures with no survivors are reported with
+their *typed* error (``ServiceUnavailable`` / ``ServiceOverloaded``),
+which the client reconstructs — so a campaign runner's own retry loop
+treats a briefly headless fleet as retryable rather than fatal.
 """
 
 from __future__ import annotations
@@ -41,12 +38,9 @@ from __future__ import annotations
 import contextlib
 import json
 import random
-import socketserver
 import threading
 import time
-from collections.abc import Callable
 
-from repro._version import __version__
 from repro.evaluate.batch import TaskFailure
 from repro.exceptions import (
     ServiceError,
@@ -56,17 +50,9 @@ from repro.exceptions import (
 )
 from repro.service.catalog import WorkerCatalog, WorkerInfo
 from repro.service.client import RetryPolicy, ServiceClient
-from repro.service.protocol import (
-    DEFAULT_HOST,
-    DEFAULT_PORT,
-    error_reply,
-    overloaded_reply,
-    publish_ready_file,
-    recv_frame,
-    send_frame,
-)
+from repro.service.host import ServiceHost, solve_task
+from repro.service.protocol import DEFAULT_HOST, DEFAULT_PORT
 from repro.service.routing import RoutingStrategy, make_strategy, task_routing_key
-from repro.service.server import DEFAULT_RETRY_AFTER, WORK_OPS
 from repro.telemetry import (
     FlightRecorder,
     MetricsRegistry,
@@ -74,7 +60,6 @@ from repro.telemetry import (
     merge_snapshots,
     render_prometheus,
 )
-from repro.telemetry.clock import monotonic_clock
 from repro.telemetry.profile import Profiler, merge_profile_snapshots
 
 log = get_logger("service.orchestrator")
@@ -92,14 +77,21 @@ DEFAULT_MAX_UNIT_ATTEMPTS = 3
 
 #: Multiplier applied to the shard-latency p95 to derive the hedge
 #: threshold (a hedge should fire on stragglers, not the median).
-DEFAULT_HEDGE_MULTIPLIER = 1.5
+HEDGE_MULTIPLIER = 1.5
 
 #: Shard-latency samples required before the p95 is trusted for hedging.
-DEFAULT_HEDGE_MIN_SAMPLES = 20
+HEDGE_MIN_SAMPLES = 20
 
 #: Floor on the derived hedge threshold (seconds) so a microsecond-fast
 #: fleet doesn't hedge every shard on scheduler jitter.
-DEFAULT_HEDGE_MIN_S = 0.05
+HEDGE_MIN_S = 0.05
+
+#: Deadline (seconds) of each worker's reply to a ``stats``, ``metrics``
+#: or ``profile`` fan-out.
+CONTROL_TIMEOUT_S = 5.0
+
+#: Deadline (seconds) of each liveness ping.
+PING_TIMEOUT_S = 2.0
 
 
 class _WorkerClientPool:
@@ -169,134 +161,11 @@ class _WorkerClientPool:
             client.close()
 
 
-def handle_orchestrator_request(
-    server: "OrchestratorServer", payload: dict
-) -> tuple[dict, bool]:
-    """Dispatch one request frame; return ``(reply, stop_server)``."""
-    op = payload.get("op")
-    try:
-        if op == "ping":
-            live = server.catalog.live_workers()
-            return {
-                "ok": True,
-                "op": "ping",
-                "role": "orchestrator",
-                "version": __version__,
-                "uptime_s": server.uptime_s,
-                "in_flight": server.in_flight,
-                "strategy": server.strategy.name,
-                "workers": {"total": len(server.catalog), "live": len(live)},
-                # No engine here: counters live on the workers (see the
-                # stats op for the aggregated view).
-                "counters": None,
-            }, False
-        if op == "stats":
-            return server.stats_reply(), False
-        if op == "metrics":
-            return server.metrics_reply(), False
-        if op == "profile":
-            return server.profile_reply(), False
-        if op == "shutdown":
-            server.begin_shutdown()
-            log.info("orchestrator shutdown requested; draining")
-            return {"ok": True, "op": "shutdown", "role": "orchestrator"}, True
-        if op in ("evaluate", "solve"):
-            if op == "solve":
-                name = payload.get("system_name")
-                if not isinstance(name, str) or not name:
-                    raise ServiceError("solve needs a string 'system_name'")
-                # The routing key of a solve is the key of the task it
-                # desugars to on the worker — so a solve and the
-                # equivalent evaluate land on the same shard.
-                task = {
-                    "system": {"kind": "named", "params": {"name": name}},
-                    "solver": payload.get("solver", "deterministic"),
-                    "model": payload.get("model", "overlap"),
-                    "options": payload.get("options", {}),
-                }
-            else:
-                task = payload.get("task")
-            reply = server.forward_traced(payload, task_routing_key(task))
-            server._count(requests=1, units=1)
-            return reply, False
-        if op == "batch":
-            tasks = payload.get("tasks")
-            if not isinstance(tasks, list):
-                raise ServiceError("batch needs a list 'tasks'")
-            reply = server.run_batch(tasks, request_id=payload.get("request_id"))
-            server._count(requests=1, batches=1, units=len(tasks))
-            return reply, False
-        if op == "search":
-            params = payload.get("params")
-            if not isinstance(params, dict):
-                raise ServiceError("search needs an object 'params'")
-            key = json.dumps(params, sort_keys=True, default=repr)
-            reply = server.forward_traced(payload, key)
-            server._count(requests=1)
-            return reply, False
-        raise ServiceError(
-            f"unknown op {op!r}; supported: "
-            "ping, stats, metrics, profile, evaluate, solve, batch, search, "
-            "shutdown"
-        )
-    except ServiceOverloaded as exc:
-        retry_after = (
-            exc.retry_after if exc.retry_after is not None else DEFAULT_RETRY_AFTER
-        )
-        return overloaded_reply(str(exc), retry_after=retry_after), False
-    except ServiceError as exc:
-        # Keep the *type* on the wire: the client reconstructs it, so a
-        # transiently headless fleet stays retryable end to end.
-        return error_reply(str(exc), error_type=type(exc).__name__), False
-    except Exception as exc:  # a bug must not kill the orchestrator
-        return error_reply(str(exc), error_type=type(exc).__name__), False
+class OrchestratorServer(ServiceHost):
+    """The fleet role: the protocol's ops answered by a worker fleet."""
 
-
-class _RequestHandler(socketserver.StreamRequestHandler):
-    """One connection: a loop of request frames until EOF or shutdown."""
-
-    def handle(self) -> None:  # pragma: no cover - exercised via sockets
-        server: "OrchestratorServer" = self.server
-        while True:
-            try:
-                payload = recv_frame(self.rfile)
-            except ServiceError as exc:
-                try:
-                    send_frame(self.wfile, error_reply(str(exc)))
-                except OSError:
-                    pass
-                return
-            if payload is None:
-                return
-            if not server.try_begin_request(payload.get("op")):
-                try:
-                    send_frame(self.wfile, overloaded_reply(
-                        "orchestrator draining for shutdown",
-                        retry_after=DEFAULT_RETRY_AFTER,
-                    ))
-                except OSError:
-                    return
-                continue
-            try:
-                started = server.clock()
-                reply, stop = handle_orchestrator_request(server, payload)
-                server.finalize_reply(payload, reply, server.clock() - started)
-                try:
-                    send_frame(self.wfile, reply)
-                except OSError:
-                    return
-            finally:
-                server._end_request()
-            if stop:
-                threading.Thread(target=server.shutdown, daemon=True).start()
-                return
-
-
-class OrchestratorServer(socketserver.ThreadingTCPServer):
-    """Threaded loopback TCP front-end for a fleet of worker daemons."""
-
-    allow_reuse_address = True
-    daemon_threads = True
+    role = "orchestrator"
+    shed_label = "orchestrator"
 
     def __init__(
         self,
@@ -308,19 +177,11 @@ class OrchestratorServer(socketserver.ThreadingTCPServer):
         retry: RetryPolicy | None = None,
         request_timeout: float | None = None,
         connect_timeout: float | None = 5.0,
-        stats_timeout: float | None = 5.0,
         ping_interval: float | None = None,
-        ping_timeout: float = 2.0,
         hedge: bool = True,
         hedge_threshold: float | None = None,
-        hedge_multiplier: float = DEFAULT_HEDGE_MULTIPLIER,
-        hedge_min_samples: int = DEFAULT_HEDGE_MIN_SAMPLES,
-        hedge_min_s: float = DEFAULT_HEDGE_MIN_S,
         max_unit_attempts: int = DEFAULT_MAX_UNIT_ATTEMPTS,
         recorder: FlightRecorder | None = None,
-        metrics: MetricsRegistry | None = None,
-        profiler: Profiler | None = None,
-        clock: Callable[[], float] = monotonic_clock,
     ) -> None:
         if ping_interval is not None and ping_interval <= 0:
             raise ServiceError(
@@ -340,14 +201,9 @@ class OrchestratorServer(socketserver.ThreadingTCPServer):
         )
         #: Backoff between full failover sweeps (``None`` = one sweep).
         self.retry = retry
-        self.stats_timeout = stats_timeout
         self.ping_interval = ping_interval
-        self.ping_timeout = ping_timeout
         self.hedge = hedge
         self.hedge_threshold = hedge_threshold
-        self.hedge_multiplier = hedge_multiplier
-        self.hedge_min_samples = hedge_min_samples
-        self.hedge_min_s = hedge_min_s
         self.max_unit_attempts = max_unit_attempts
         #: A :class:`~repro.service.fleet.FleetSupervisor` when this
         #: orchestrator's fleet is supervised (stats_reply surfaces it).
@@ -366,21 +222,27 @@ class OrchestratorServer(socketserver.ThreadingTCPServer):
             "quarantined": 0,
         }
         self._counters_lock = threading.Lock()
-        self._started = time.monotonic()
-        self._stopping = False
-        self._inflight = 0
-        self._inflight_lock = threading.Lock()
-        self._drained = threading.Event()
-        self._drained.set()
         self._ping_stop = threading.Event()
         self._ping_thread: threading.Thread | None = None
         self.recorder = recorder
-        self.clock = clock
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        super().__init__(
+            (host, port),
+            {
+                "ping": self._ping,
+                "stats": lambda _: self.stats_reply(),
+                "metrics": lambda _: self.metrics_reply(),
+                "profile": lambda _: self.profile_reply(),
+                "evaluate": self._evaluate,
+                "solve": self._evaluate,
+                "batch": self._batch,
+                "search": self._search,
+            },
+        )
+        self.metrics = MetricsRegistry()
         # Same clock as the request histograms, and the phase records below
         # reuse the very floats the histograms observe — so the profile
         # tree's root total reconciles exactly with the histogram sum.
-        self.profiler = profiler if profiler is not None else Profiler(clock=clock)
+        self.profiler = Profiler(clock=self.clock)
         m = self.metrics
         m.counter(
             "repro_orchestrator_requests_total", "work requests handled",
@@ -442,7 +304,6 @@ class OrchestratorServer(socketserver.ThreadingTCPServer):
             "repro_orchestrator_shard_seconds",
             "per-shard dispatch latency (the hedge threshold's p95 source)",
         )
-        super().__init__((host, port), _RequestHandler)
         log.info(
             "orchestrator serving on %s:%d (strategy=%s, workers=%d)",
             *self.endpoint, self.strategy.name, len(self.catalog),
@@ -657,7 +518,7 @@ class OrchestratorServer(socketserver.ThreadingTCPServer):
 
         A fixed ``hedge_threshold`` wins when configured; otherwise the
         threshold derives from the live shard-latency histogram — the
-        p95 times ``hedge_multiplier``, floored at ``hedge_min_s`` —
+        p95 times ``HEDGE_MULTIPLIER``, floored at ``HEDGE_MIN_S`` —
         once enough samples landed to make the tail meaningful. Until
         then (and whenever hedging is disabled) returns ``None``.
         """
@@ -666,12 +527,12 @@ class OrchestratorServer(socketserver.ThreadingTCPServer):
         if self.hedge_threshold is not None:
             return self.hedge_threshold
         snap = self._hist_shard.snapshot()
-        if snap.get("count", 0) < self.hedge_min_samples:
+        if snap.get("count", 0) < HEDGE_MIN_SAMPLES:
             return None
         p95 = snap.get("p95")
         if not isinstance(p95, (int, float)) or p95 <= 0:
             return None
-        return max(self.hedge_min_s, float(p95) * self.hedge_multiplier)
+        return max(HEDGE_MIN_S, float(p95) * HEDGE_MULTIPLIER)
 
     def _pick_hedge_candidate(
         self, key: str, exclude: set[str]
@@ -985,7 +846,7 @@ class OrchestratorServer(socketserver.ThreadingTCPServer):
             try:
                 self._send(
                     worker, {"op": "ping"},
-                    timeout=self.ping_timeout, work=False,
+                    timeout=PING_TIMEOUT_S, work=False,
                 )
             except ServiceError:
                 self.catalog.record_failure(worker.name)
@@ -999,7 +860,45 @@ class OrchestratorServer(socketserver.ThreadingTCPServer):
             try:
                 self.check_workers()
             except Exception:
-                pass
+                log.exception("liveness pass failed")
+
+    # ------------------------------------------------------------------
+    # Ops
+    # ------------------------------------------------------------------
+    def _fan_out(self, op: str) -> list[tuple[WorkerInfo, dict | None]]:
+        """Send control ``op`` to every live worker, in catalog order.
+
+        Returns one ``(worker, reply)`` per cataloged worker; ``reply``
+        is ``None`` for a worker that is not live or whose exchange
+        failed, and a failed exchange counts against its breaker.
+        """
+        results: list[tuple[WorkerInfo, dict | None]] = []
+        for worker in self.catalog.workers():
+            reply = None
+            if worker.live:
+                try:
+                    reply = self._send(
+                        worker, {"op": op}, timeout=CONTROL_TIMEOUT_S, work=False
+                    )
+                except ServiceError:
+                    self.catalog.record_failure(worker.name)
+            results.append((worker, reply))
+        return results
+
+    def _ping(self, payload: dict) -> dict:
+        return self.reply(
+            "ping",
+            uptime_s=self.uptime_s,
+            in_flight=self.in_flight,
+            strategy=self.strategy.name,
+            workers={
+                "total": len(self.catalog),
+                "live": len(self.catalog.live_workers()),
+            },
+            # No engine here: counters live on the workers (see the
+            # stats op for the aggregated view).
+            counters=None,
+        )
 
     def stats_reply(self) -> dict:
         """The aggregated fleet view behind the ``stats`` op."""
@@ -1014,34 +913,26 @@ class OrchestratorServer(socketserver.ThreadingTCPServer):
         }
         cache = {"requests": 0, "hits": 0, "misses": 0, "evictions": 0}
         reporting = 0
-        for worker in self.catalog.workers():
+        for worker, reply in self._fan_out("stats"):
             reported = None
-            if worker.live:
-                try:
-                    reply = self._send(
-                        worker, {"op": "stats"},
-                        timeout=self.stats_timeout, work=False,
-                    )
-                except ServiceError:
-                    self.catalog.record_failure(worker.name)
-                else:
-                    reporting += 1
-                    counters = reply.get("counters") or {}
-                    requests = counters.get("requests") or {}
-                    for field in totals:
-                        totals[field] += int(requests.get(field, 0) or 0)
-                    structure = counters.get("structure_cache") or {}
-                    for field in cache:
-                        cache[field] += int(structure.get(field, 0) or 0)
-                    reported = {
-                        "version": reply.get("version"),
-                        "uptime_s": reply.get("uptime_s"),
-                        "in_flight": reply.get("in_flight"),
-                        "capacity": reply.get("capacity"),
-                        "shed": reply.get("shed"),
-                        "requests": requests,
-                        "structure_cache": structure,
-                    }
+            if reply is not None:
+                reporting += 1
+                counters = reply.get("counters") or {}
+                requests = counters.get("requests") or {}
+                for field in totals:
+                    totals[field] += int(requests.get(field, 0) or 0)
+                structure = counters.get("structure_cache") or {}
+                for field in cache:
+                    cache[field] += int(structure.get(field, 0) or 0)
+                reported = {
+                    "version": reply.get("version"),
+                    "uptime_s": reply.get("uptime_s"),
+                    "in_flight": reply.get("in_flight"),
+                    "capacity": reply.get("capacity"),
+                    "shed": reply.get("shed"),
+                    "requests": requests,
+                    "structure_cache": structure,
+                }
             # Snapshot the row *after* the probe so a just-failed (or
             # just-revived) worker reports its current liveness.
             row = worker.stats()
@@ -1052,24 +943,21 @@ class OrchestratorServer(socketserver.ThreadingTCPServer):
         aggregate["hit_rate"] = (cache["hits"] / lookups) if lookups else 0.0
         with self._counters_lock:
             local = dict(self._counters)
-        return {
-            "ok": True,
-            "op": "stats",
-            "role": "orchestrator",
-            "version": __version__,
-            "uptime_s": self.uptime_s,
-            "in_flight": self.in_flight,
-            "stopping": self.stopping,
-            "strategy": self.strategy.name,
-            "orchestrator": local,
-            "workers": rows,
-            "workers_reporting": reporting,
-            "totals": totals,
-            "structure_cache": aggregate,
-            "supervisor": (
+        return self.reply(
+            "stats",
+            uptime_s=self.uptime_s,
+            in_flight=self.in_flight,
+            stopping=self.stopping,
+            strategy=self.strategy.name,
+            orchestrator=local,
+            workers=rows,
+            workers_reporting=reporting,
+            totals=totals,
+            structure_cache=aggregate,
+            supervisor=(
                 self.supervisor.stats() if self.supervisor is not None else None
             ),
-        }
+        )
 
     def metrics_reply(self) -> dict:
         """The fleet-merged view behind the ``metrics`` op.
@@ -1080,32 +968,17 @@ class OrchestratorServer(socketserver.ThreadingTCPServer):
         instruments pass through under their distinct names.
         """
         snapshots = [self.metrics.collect()]
-        reporting = 0
-        for worker in self.catalog.workers():
-            if not worker.live:
-                continue
-            try:
-                reply = self._send(
-                    worker, {"op": "metrics"},
-                    timeout=self.stats_timeout, work=False,
-                )
-            except ServiceError:
-                self.catalog.record_failure(worker.name)
-                continue
-            snapshot = reply.get("metrics")
+        for _, reply in self._fan_out("metrics"):
+            snapshot = reply.get("metrics") if reply is not None else None
             if isinstance(snapshot, dict):
                 snapshots.append(snapshot)
-                reporting += 1
         merged = merge_snapshots(*snapshots)
-        return {
-            "ok": True,
-            "op": "metrics",
-            "role": "orchestrator",
-            "version": __version__,
-            "workers_reporting": reporting,
-            "metrics": merged,
-            "exposition": render_prometheus(merged),
-        }
+        return self.reply(
+            "metrics",
+            workers_reporting=len(snapshots) - 1,
+            metrics=merged,
+            exposition=render_prometheus(merged),
+        )
 
     def profile_reply(self) -> dict:
         """The fleet-merged view behind the ``profile`` op.
@@ -1117,31 +990,45 @@ class OrchestratorServer(socketserver.ThreadingTCPServer):
         alongside under ``orchestrator``.
         """
         snapshots: list[dict] = []
-        reporting = 0
-        for worker in self.catalog.workers():
-            if not worker.live:
-                continue
-            try:
-                reply = self._send(
-                    worker, {"op": "profile"},
-                    timeout=self.stats_timeout, work=False,
-                )
-            except ServiceError:
-                self.catalog.record_failure(worker.name)
-                continue
-            snapshot = reply.get("profile")
+        for _, reply in self._fan_out("profile"):
+            snapshot = reply.get("profile") if reply is not None else None
             if isinstance(snapshot, dict):
                 snapshots.append(snapshot)
-                reporting += 1
-        return {
-            "ok": True,
-            "op": "profile",
-            "role": "orchestrator",
-            "version": __version__,
-            "workers_reporting": reporting,
-            "profile": merge_profile_snapshots(*snapshots),
-            "orchestrator": self.profiler.snapshot(),
-        }
+        return self.reply(
+            "profile",
+            workers_reporting=len(snapshots),
+            profile=merge_profile_snapshots(*snapshots),
+            orchestrator=self.profiler.snapshot(),
+        )
+
+    def _evaluate(self, payload: dict) -> dict:
+        # The routing key of a solve is the key of the task it desugars
+        # to on the worker — so a solve and the equivalent evaluate land
+        # on the same shard.
+        task = (
+            solve_task(payload) if payload["op"] == "solve"
+            else payload.get("task")
+        )
+        reply = self.forward_traced(payload, task_routing_key(task))
+        self._count(requests=1, units=1)
+        return reply
+
+    def _batch(self, payload: dict) -> dict:
+        tasks = payload.get("tasks")
+        if not isinstance(tasks, list):
+            raise ServiceError("batch needs a list 'tasks'")
+        reply = self.run_batch(tasks, request_id=payload.get("request_id"))
+        self._count(requests=1, batches=1, units=len(tasks))
+        return reply
+
+    def _search(self, payload: dict) -> dict:
+        params = payload.get("params")
+        if not isinstance(params, dict):
+            raise ServiceError("search needs an object 'params'")
+        key = json.dumps(params, sort_keys=True, default=repr)
+        reply = self.forward_traced(payload, key)
+        self._count(requests=1)
+        return reply
 
     def finalize_reply(self, payload: dict, reply: dict, duration_s: float) -> None:
         """Feed the flight recorder after a work reply is built.
@@ -1150,9 +1037,8 @@ class OrchestratorServer(socketserver.ThreadingTCPServer):
         event per worker dispatch (served, lost, or shed) — the records
         ``cli trace`` joins across orchestrator and worker files.
         """
-        op = payload.get("op")
         request_id = payload.get("request_id")
-        if op not in WORK_OPS or request_id is None or self.recorder is None:
+        if request_id is None or self.recorder is None:
             return
         telemetry = reply.get("telemetry") or {}
         for hop in telemetry.get("hops", []):
@@ -1160,7 +1046,7 @@ class OrchestratorServer(socketserver.ThreadingTCPServer):
         event = {
             "node": "orchestrator",
             "request_id": request_id,
-            "op": op,
+            "op": payload.get("op"),
             "ok": bool(reply.get("ok")),
             "duration_s": round(duration_s, 6),
             "spans": telemetry.get("spans"),
@@ -1202,58 +1088,8 @@ class OrchestratorServer(socketserver.ThreadingTCPServer):
                 self._counters[key] = self._counters.get(key, 0) + delta
 
     # ------------------------------------------------------------------
-    # Admission (mirrors ServiceServer: control always passes, work is
-    # shed while draining; the orchestrator itself has no capacity —
-    # workers bound their own admission and overloads propagate back)
+    # Lifecycle
     # ------------------------------------------------------------------
-    def try_begin_request(self, op: object = None) -> bool:
-        control = op in ("ping", "stats", "metrics", "profile", "shutdown")
-        with self._inflight_lock:
-            if not control and self._stopping:
-                return False
-            self._inflight += 1
-            self._drained.clear()
-            return True
-
-    def _end_request(self) -> None:
-        with self._inflight_lock:
-            self._inflight -= 1
-            if self._inflight == 0:
-                self._drained.set()
-
-    def begin_shutdown(self) -> None:
-        with self._inflight_lock:
-            self._stopping = True
-
-    def wait_for_inflight(self, timeout: float | None = None) -> bool:
-        return self._drained.wait(timeout)
-
-    # ------------------------------------------------------------------
-    # Introspection / lifecycle
-    # ------------------------------------------------------------------
-    @property
-    def in_flight(self) -> int:
-        with self._inflight_lock:
-            return self._inflight
-
-    @property
-    def stopping(self) -> bool:
-        with self._inflight_lock:
-            return self._stopping
-
-    @property
-    def uptime_s(self) -> float:
-        return time.monotonic() - self._started
-
-    @property
-    def endpoint(self) -> tuple[str, int]:
-        host, port = self.server_address[:2]
-        return host, port
-
-    def write_ready_file(self, path) -> None:
-        host, port = self.endpoint
-        publish_ready_file(path, host, port)
-
     def server_close(self) -> None:
         self._ping_stop.set()
         if self._ping_thread is not None:
@@ -1264,46 +1100,17 @@ class OrchestratorServer(socketserver.ThreadingTCPServer):
 
 
 def serve_orchestrator_in_thread(
-    catalog: WorkerCatalog,
-    *,
-    strategy: str | RoutingStrategy = "fingerprint_affinity",
-    host: str = DEFAULT_HOST,
-    port: int = 0,
-    retry: RetryPolicy | None = None,
-    request_timeout: float | None = None,
-    connect_timeout: float | None = 5.0,
-    ping_interval: float | None = None,
-    hedge: bool = True,
-    hedge_threshold: float | None = None,
-    max_unit_attempts: int = DEFAULT_MAX_UNIT_ATTEMPTS,
-    recorder: FlightRecorder | None = None,
+    catalog: WorkerCatalog, *, port: int = 0, **kwargs
 ) -> tuple[OrchestratorServer, threading.Thread]:
     """Start an orchestrator on a background thread (ephemeral port).
 
     The embedding entry point used by the tests, the fleet benchmark
-    and :func:`~repro.service.fleet.local_fleet`. The caller owns the
-    lifecycle::
+    and :func:`~repro.service.fleet.local_fleet`; keyword arguments are
+    :class:`OrchestratorServer`'s. The caller owns the lifecycle::
 
         orch, thread = serve_orchestrator_in_thread(catalog)
         ... ServiceClient(*orch.endpoint) ...
         orch.shutdown(); orch.server_close(); thread.join()
     """
-    server = OrchestratorServer(
-        catalog,
-        strategy=strategy,
-        host=host,
-        port=port,
-        retry=retry,
-        request_timeout=request_timeout,
-        connect_timeout=connect_timeout,
-        ping_interval=ping_interval,
-        hedge=hedge,
-        hedge_threshold=hedge_threshold,
-        max_unit_attempts=max_unit_attempts,
-        recorder=recorder,
-    )
-    thread = threading.Thread(
-        target=lambda: server.serve_forever(poll_interval=0.02), daemon=True
-    )
-    thread.start()
-    return server, thread
+    server = OrchestratorServer(catalog, port=port, **kwargs)
+    return server, server.start_thread()

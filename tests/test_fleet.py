@@ -886,6 +886,15 @@ class TestOrchestratorEndToEnd:
         assert values == [] and failures == []
         assert stats["units"] == 0
 
+    def test_unknown_op_is_an_error_reply(self):
+        with local_fleet(2) as fleet:
+            with fleet.client() as client:
+                for op in ("teleport", ["teleport"]):
+                    with pytest.raises(ServiceError, match="unknown op"):
+                        client.request({"op": op})
+                # The connection stays usable after an error reply.
+                assert client.ping()["role"] == "orchestrator"
+
 
 # ----------------------------------------------------------------------
 # Failover

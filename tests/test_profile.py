@@ -13,6 +13,7 @@ an orchestrator fronting a 2-worker fleet, and the ``cli profile`` /
 
 from __future__ import annotations
 
+import contextlib
 import json
 
 import pytest
@@ -291,6 +292,25 @@ class TestEngineProfile:
 # ----------------------------------------------------------------------
 # The profile op: worker and fleet
 # ----------------------------------------------------------------------
+@contextlib.contextmanager
+def served_worker():
+    engine = EvaluationEngine()
+    server, thread = serve_in_thread(engine)
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        engine.close()
+        thread.join(timeout=5)
+
+
+@contextlib.contextmanager
+def served_orchestrator():
+    with local_fleet(2) as fleet:
+        yield fleet.orchestrator
+
+
 class TestProfileOp:
     def test_worker_profile_op(self):
         engine = EvaluationEngine()
@@ -337,31 +357,31 @@ class TestProfileOp:
             assert orch["total_s"] == req_hist["sum"]
             assert set(orch["children"]) == {"route", "merge"}
 
-    def test_profile_is_a_control_op_while_draining(self):
+    @pytest.mark.parametrize(
+        "served", [served_worker, served_orchestrator],
+        ids=["worker", "orchestrator"],
+    )
+    def test_profile_is_a_control_op_while_draining(self, served):
         # Flip the admission gate directly instead of sending the
         # shutdown op: the op also stops the accept loop, and racing a
         # fresh connection against that leaves it stuck in the listen
         # backlog. begin_shutdown() puts the server in exactly the
         # draining state admission sees, with the accept loop alive.
-        engine = EvaluationEngine()
-        server, thread = serve_in_thread(engine)
-        host, port = server.endpoint
-        try:
+        with served() as server:
+            host, port = server.endpoint
             with ServiceClient(host, port, timeout=30.0) as client:
                 client.evaluate_batch([named_task()])
             server.begin_shutdown()
             with ServiceClient(host, port, timeout=30.0) as client:
                 # Work is shed while draining, but profile bypasses
                 # admission like the other observe-plane ops.
-                with pytest.raises(ServiceOverloaded):
+                with pytest.raises(ServiceOverloaded) as shed:
                     client.evaluate_batch([named_task()])
+                assert shed.value.retry_after > 0
+                for op in ("ping", "stats", "metrics"):
+                    assert client.request({"op": op})["ok"], op
                 reply = client.request({"op": "profile"})
                 assert reply["ok"] and "batch" in reply["profile"]["phases"]
-        finally:
-            server.shutdown()
-            server.server_close()
-            engine.close()
-            thread.join(timeout=5)
 
 
 # ----------------------------------------------------------------------

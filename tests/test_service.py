@@ -437,8 +437,9 @@ class TestServerClient:
     def test_unknown_op_is_an_error_reply(self, live_server):
         _engine, host, port = live_server
         with ServiceClient(host, port) as client:
-            with pytest.raises(ServiceError, match="unknown op"):
-                client.request({"op": "teleport"})
+            for op in ("teleport", ["teleport"]):
+                with pytest.raises(ServiceError, match="unknown op"):
+                    client.request({"op": op})
             # The connection stays usable after an error reply.
             assert client.ping()["version"]
 
@@ -631,7 +632,7 @@ class TestShutdownDrain:
         a.start()
         # Let A's request reach dispatch, then shut the server down.
         deadline = time.monotonic() + 5
-        while not server._inflight and time.monotonic() < deadline:
+        while not server.in_flight and time.monotonic() < deadline:
             time.sleep(0.005)
         with ServiceClient(host, port) as client:
             client.shutdown()
