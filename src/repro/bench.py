@@ -53,9 +53,9 @@ Benchmarked engines:
   fleet with kill-every-k-batches chaos: a worker is torn down abruptly
   every k requests and the :class:`FleetSupervisor` respawns it
   mid-trace. The report records recovery latency (kill → respawn),
-  goodput retained under chaos vs the clean pass, respawn/failover/
-  hedge counts, and asserts the chaos pass's values byte-identical to
-  the clean pass (self-healing must never lose or duplicate a unit).
+  goodput retained under chaos vs the clean pass, respawn and failover
+  counts, and asserts the chaos pass's values byte-identical to the
+  clean pass (self-healing must never lose or duplicate a unit).
 
 ``run_benchmarks(workloads=[...])`` (CLI: ``bench --workloads``) filters
 the suite by substring match on the engine names above, so a single
@@ -154,8 +154,8 @@ def _mid_size_strict_net(quick: bool):
     """A bounded Strict-model net sized for the reachability benchmark.
 
     ``quick`` keeps the state space near 1k markings (CI smoke); the full
-    benchmark explores ~10k markings / 44k arcs, matching the mid-size
-    nets of ``benchmarks/bench_solvers.py``.
+    benchmark explores ~10k markings / 44k arcs (10 368 markings, the
+    count ``tests/test_kernels.py`` pins).
     """
     from repro import Application, Mapping, Platform
     from repro.petri import build_strict_tpn
@@ -879,8 +879,6 @@ def run_benchmarks(
             return {
                 "values": values,
                 "failovers": orch["failovers"],
-                "hedges_sent": orch.get("hedges_sent", 0),
-                "hedges_won": orch.get("hedges_won", 0),
                 "respawns": stats["supervisor"]["respawns"],
                 "recoveries": recoveries,
             }
@@ -908,8 +906,6 @@ def run_benchmarks(
                 max(chaos["recoveries"]) if chaos["recoveries"] else None
             ),
             "failovers": chaos["failovers"],
-            "hedges_sent": chaos["hedges_sent"],
-            "hedges_won": chaos["hedges_won"],
             "goodput_clean_units_per_s": heal_units / max(clean_t, 1e-12),
             "goodput_chaos_units_per_s": heal_units / max(chaos_t, 1e-12),
             "goodput_retained": clean_t / max(chaos_t, 1e-12),

@@ -191,8 +191,6 @@ def _orchestrator_catalog(args, parser):
         parser.error("--ping-interval must be > 0")
     if args.breaker_cooldown < 0:
         parser.error("--breaker-cooldown must be >= 0")
-    if args.hedge_threshold is not None and args.hedge_threshold <= 0:
-        parser.error("--hedge-threshold must be > 0")
     if args.max_unit_attempts < 1:
         parser.error("--max-unit-attempts must be >= 1")
     return WorkerCatalog(
@@ -212,8 +210,6 @@ def _orchestrator_server(args, catalog, *, retry, recorder):
         port=args.port,
         retry=retry,
         ping_interval=args.ping_interval,
-        hedge=not args.no_hedge,
-        hedge_threshold=args.hedge_threshold,
         max_unit_attempts=args.max_unit_attempts,
         recorder=recorder,
     )
@@ -698,8 +694,6 @@ def _render_fleet_stats(stats: dict) -> None:
         f"{orch.get('requests', 0)} requests, {orch.get('batches', 0)} "
         f"batches, {orch.get('units', 0)} units, "
         f"{orch.get('failovers', 0)} failovers, "
-        f"{orch.get('hedges_sent', 0)} hedges sent "
-        f"({orch.get('hedges_won', 0)} won), "
         f"{orch.get('quarantined', 0)} quarantined"
     )
     supervisor = stats.get("supervisor")
@@ -869,8 +863,6 @@ def _render_top(stats: dict, metrics: dict, prof: dict, *, top_k: int) -> None:
         )
         print(
             f"health: {orch.get('failovers', 0)} failovers, "
-            f"{orch.get('hedges_sent', 0)} hedges sent "
-            f"({orch.get('hedges_won', 0)} won), "
             f"{orch.get('quarantined', 0)} quarantined, "
             f"{supervisor.get('respawns', 0)} respawns"
         )
@@ -1602,23 +1594,6 @@ def main(argv: list[str] | None = None) -> int:
             ),
         ),
         (
-            "--hedge-threshold",
-            dict(
-                type=float, default=None, metavar="SECONDS",
-                help="fixed latency past which a pending sub-batch is "
-                "speculatively re-dispatched to the next-ranked live "
-                "worker, first reply winning (default: derived from the "
-                "shard-latency histogram's p95)",
-            ),
-        ),
-        (
-            "--no-hedge",
-            dict(
-                action="store_true",
-                help="disable hedged dispatch entirely",
-            ),
-        ),
-        (
             "--max-unit-attempts",
             dict(
                 type=int, default=3, metavar="N",
@@ -1648,9 +1623,8 @@ def main(argv: list[str] | None = None) -> int:
             "    --max-pool-restarts, --slow-threshold, --faults\n"
             "  orchestrator-level (routing, liveness and repair policy):\n"
             "    --strategy, --ping-interval, --max-worker-failures,\n"
-            "    --breaker-cooldown, --hedge-threshold, --no-hedge,\n"
-            "    --max-unit-attempts, --supervise, --max-worker-restarts,\n"
-            "    --supervisor-interval\n"
+            "    --breaker-cooldown, --max-unit-attempts, --supervise,\n"
+            "    --max-worker-restarts, --supervisor-interval\n"
             "  --faults takes one spec for every worker ('drop:1') or\n"
             "  per-index clauses ('0=crash:1;2=hang:1:5'); --supervise\n"
             "  respawns dead workers on their registered ports (bounded\n"

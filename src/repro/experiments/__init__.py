@@ -1,9 +1,9 @@
 """Reproduction of every table and figure of the paper's Section 7.
 
 Each module exposes ``run(config) -> ExperimentResult``; the CLI
-(``python -m repro.cli``) and the ``benchmarks/`` harness drive them.
+(``python -m repro.cli``) and the campaign presets drive them.
 Default configurations match the paper's parameters; every module also
-accepts a scaled-down configuration so the benchmark suite stays fast.
+accepts a scaled-down configuration (``run --scale``, the test suite).
 
 The drivers live in a registry: ``experiment_names()`` /
 ``get_experiment()`` are the one source both ``repro.cli list`` and the

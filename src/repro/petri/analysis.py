@@ -41,14 +41,7 @@ def is_feed_forward(tpn: TimedEventGraph) -> bool:
 
 def is_live(tpn: TimedEventGraph) -> bool:
     """No zero-token cycle — every cycle can fire infinitely often."""
-    g = nx.DiGraph()
-    g.add_nodes_from(range(tpn.n_transitions))
-    g.add_edges_from((p.src, p.dst) for p in tpn.places if p.tokens == 0)
-    try:
-        nx.find_cycle(g)
-        return False
-    except nx.NetworkXNoCycle:
-        return True
+    return not tpn.to_token_graph().has_zero_token_cycle()
 
 
 def is_strongly_connected(tpn: TimedEventGraph) -> bool:

@@ -34,9 +34,8 @@ over a loopback socket:
   recovery), a routing strategy registry (``round_robin`` /
   ``worst_fit`` / ``fingerprint_affinity`` rendezvous hashing), an
   orchestrator speaking the *same* protocol that shards batches across
-  workers, fails over when one dies mid-request, hedges straggling
-  shards onto the next-ranked candidate, quarantines poison units
-  after they fail on distinct workers, and aggregates fleet
+  workers, fails over when one dies mid-request, quarantines poison
+  units after they fail on distinct workers, and aggregates fleet
   statistics, plus a :class:`FleetSupervisor` that respawns dead
   worker processes (bounded budget, exponential backoff) and
   re-announces them for a half-open probe — behind ``repro.cli serve

@@ -24,8 +24,9 @@ Supported kinds and their hook points:
   behind), which the next load must drop and repair;
 * ``hang`` — the server handler stalls ``hang_s`` seconds *before*
   doing any work, the way a wedged worker stalls a whole sub-batch:
-  clients hit their deadline, and the orchestrator's hedged dispatch
-  must rescue the shard on another candidate;
+  nothing rescues the request but a deadline, so clients (and the
+  orchestrator's forwarding clients) must raise
+  :class:`~repro.exceptions.ServiceTimeout`;
 * ``flap`` — the server handler alternates between severing the
   connection pre-work and serving normally (``flap:2`` fails requests
   1 and 3, serves 2 and 4), the pathology circuit breakers exist for:
@@ -55,7 +56,7 @@ FAULTS_ENV = "REPRO_FAULTS"
 DEFAULT_DELAY_S = 0.25
 
 #: Default stall of a ``hang`` fault (seconds) — long enough that any
-#: armed client deadline or hedge threshold fires first.
+#: armed client deadline fires first.
 DEFAULT_HANG_S = 30.0
 
 #: Spec clauses that accept a trailing ``:SECONDS`` field.
@@ -136,8 +137,8 @@ class FaultInjector:
         """``hang`` hook: stall *before* the work starts (server handler).
 
         The admission slot stays held for the whole stall, exactly like a
-        wedged worker at capacity; the request still completes afterwards
-        so a hedged duplicate can win the race and discard this reply.
+        wedged worker at capacity; the request still completes once the
+        stall ends, by which time an armed client deadline has fired.
         """
         if not self.take("hang"):
             return False

@@ -460,8 +460,6 @@ def local_fleet(
     faults: dict[int, str] | None = None,
     recorder_dir: str | os.PathLike | None = None,
     breaker_cooldown_s: float | None = None,
-    hedge: bool = True,
-    hedge_threshold: float | None = None,
     max_unit_attempts: int | None = None,
 ):
     """An orchestrator fronting ``n_workers`` in-process daemons.
@@ -511,8 +509,6 @@ def local_fleet(
             request_timeout=request_timeout,
             connect_timeout=connect_timeout,
             ping_interval=ping_interval,
-            hedge=hedge,
-            hedge_threshold=hedge_threshold,
             recorder=(
                 FlightRecorder(Path(recorder_dir) / "orchestrator.jsonl")
                 if recorder_dir is not None

@@ -75,17 +75,6 @@ _FAILOVER_ERRORS = (ServiceTimeout, ServiceUnavailable)
 #: Distinct workers a unit may fail on before it is quarantined.
 DEFAULT_MAX_UNIT_ATTEMPTS = 3
 
-#: Multiplier applied to the shard-latency p95 to derive the hedge
-#: threshold (a hedge should fire on stragglers, not the median).
-HEDGE_MULTIPLIER = 1.5
-
-#: Shard-latency samples required before the p95 is trusted for hedging.
-HEDGE_MIN_SAMPLES = 20
-
-#: Floor on the derived hedge threshold (seconds) so a microsecond-fast
-#: fleet doesn't hedge every shard on scheduler jitter.
-HEDGE_MIN_S = 0.05
-
 #: Deadline (seconds) of each worker's reply to a ``stats``, ``metrics``
 #: or ``profile`` fan-out.
 CONTROL_TIMEOUT_S = 5.0
@@ -178,18 +167,12 @@ class OrchestratorServer(ServiceHost):
         request_timeout: float | None = None,
         connect_timeout: float | None = 5.0,
         ping_interval: float | None = None,
-        hedge: bool = True,
-        hedge_threshold: float | None = None,
         max_unit_attempts: int = DEFAULT_MAX_UNIT_ATTEMPTS,
         recorder: FlightRecorder | None = None,
     ) -> None:
         if ping_interval is not None and ping_interval <= 0:
             raise ServiceError(
                 f"ping_interval must be > 0, got {ping_interval}"
-            )
-        if hedge_threshold is not None and hedge_threshold <= 0:
-            raise ServiceError(
-                f"hedge_threshold must be > 0, got {hedge_threshold}"
             )
         if max_unit_attempts < 1:
             raise ServiceError(
@@ -202,8 +185,6 @@ class OrchestratorServer(ServiceHost):
         #: Backoff between full failover sweeps (``None`` = one sweep).
         self.retry = retry
         self.ping_interval = ping_interval
-        self.hedge = hedge
-        self.hedge_threshold = hedge_threshold
         self.max_unit_attempts = max_unit_attempts
         #: A :class:`~repro.service.fleet.FleetSupervisor` when this
         #: orchestrator's fleet is supervised (stats_reply surfaces it).
@@ -217,8 +198,6 @@ class OrchestratorServer(ServiceHost):
             "batches": 0,
             "units": 0,
             "failovers": 0,
-            "hedges_sent": 0,
-            "hedges_won": 0,
             "quarantined": 0,
         }
         self._counters_lock = threading.Lock()
@@ -261,16 +240,6 @@ class OrchestratorServer(ServiceHost):
             fn=lambda: self._counters["failovers"],
         )
         m.counter(
-            "repro_orchestrator_hedges_sent_total",
-            "speculative duplicate shard dispatches",
-            fn=lambda: self._counters["hedges_sent"],
-        )
-        m.counter(
-            "repro_orchestrator_hedges_won_total",
-            "shards won by the hedged duplicate",
-            fn=lambda: self._counters["hedges_won"],
-        )
-        m.counter(
             "repro_orchestrator_quarantined_total",
             "units quarantined after failing on distinct workers",
             fn=lambda: self._counters["quarantined"],
@@ -301,8 +270,7 @@ class OrchestratorServer(ServiceHost):
             "repro_orchestrator_request_seconds", "work-request latency at the orchestrator"
         )
         self._hist_shard = m.histogram(
-            "repro_orchestrator_shard_seconds",
-            "per-shard dispatch latency (the hedge threshold's p95 source)",
+            "repro_orchestrator_shard_seconds", "per-shard dispatch latency"
         )
         log.info(
             "orchestrator serving on %s:%d (strategy=%s, workers=%d)",
@@ -469,7 +437,6 @@ class OrchestratorServer(ServiceHost):
             "failures": 0,
             "shards": 0,
             "failovers": 0,
-            "hedges": 0,
             "quarantined": 0,
         }
         tele = {"route_s": 0.0, "merge_s": 0.0, "hops": []}
@@ -513,38 +480,6 @@ class OrchestratorServer(ServiceHost):
             }
         return reply
 
-    def _hedge_after(self) -> float | None:
-        """Seconds before a pending shard earns a hedged duplicate.
-
-        A fixed ``hedge_threshold`` wins when configured; otherwise the
-        threshold derives from the live shard-latency histogram — the
-        p95 times ``HEDGE_MULTIPLIER``, floored at ``HEDGE_MIN_S`` —
-        once enough samples landed to make the tail meaningful. Until
-        then (and whenever hedging is disabled) returns ``None``.
-        """
-        if not self.hedge:
-            return None
-        if self.hedge_threshold is not None:
-            return self.hedge_threshold
-        snap = self._hist_shard.snapshot()
-        if snap.get("count", 0) < HEDGE_MIN_SAMPLES:
-            return None
-        p95 = snap.get("p95")
-        if not isinstance(p95, (int, float)) or p95 <= 0:
-            return None
-        return max(HEDGE_MIN_S, float(p95) * HEDGE_MULTIPLIER)
-
-    def _pick_hedge_candidate(
-        self, key: str, exclude: set[str]
-    ) -> WorkerInfo | None:
-        """The next-ranked live candidate for ``key`` outside ``exclude``."""
-        workers = [
-            w for w in self.catalog.live_workers() if w.name not in exclude
-        ]
-        if not workers:
-            return None
-        return self.strategy.rank(key, workers)[0]
-
     def _dispatch_shards(
         self,
         indexed: list[tuple[int, object, str]],
@@ -573,12 +508,14 @@ class OrchestratorServer(ServiceHost):
         with ``reason="quarantined"`` instead of re-entering the sweep,
         so one poison mapping can't wedge the whole campaign.
 
-        Each shard dispatch is **hedged**: if the primary hasn't replied
-        within :meth:`_hedge_after` seconds, the shard is speculatively
-        re-sent to the next-ranked live candidate and the first ``ok``
-        reply wins. The loser's reply is discarded — harmless, because
-        scoring is deterministic and worker caches are idempotent, so
-        both replies are byte-identical.
+        Each shard is sent to its owner **once**: the first shard on the
+        request thread, every other on one thread of its own, and all of
+        them are joined before the merge. An overloaded or lost owner
+        (deadline, dead connection) is transient: its shard takes the
+        re-route above. Any other error — a worker's error reply, a
+        reply frame too large or torn mid-line — is not: once every
+        shard has joined it fails the whole request, with the same error
+        reply :meth:`forward` gives an ``evaluate``.
         """
         t_route = self.clock()
         shards: dict[str, tuple[WorkerInfo, list]] = {}
@@ -596,128 +533,54 @@ class OrchestratorServer(ServiceHost):
         if tele is not None:
             tele["route_s"] += self.clock() - t_route
 
-        hedge_after = self._hedge_after()
-        outcomes: list[dict] = []
-        outcomes_lock = threading.Lock()
+        groups = list(shards.values())
+        # One ``(status, owner, items, reply or exception)`` slot per
+        # shard, so the merge (and its hops) follows shard order.
+        outcomes: list[tuple | None] = [None] * len(groups)
 
-        def dispatch_once(worker: WorkerInfo, payload: dict):
-            t0 = self.clock()
-            try:
-                reply = self._send(worker, payload)
-            except ServiceOverloaded as exc:
-                return ("overloaded", exc)
-            except _FAILOVER_ERRORS as exc:
-                self.catalog.record_failure(worker.name, failover=True)
-                self._count(failovers=1)
-                return ("lost", exc)
-            else:
-                self._hist_shard.observe(self.clock() - t0)
-                return ("ok", reply)
-
-        def run_shard(owner: WorkerInfo, items: list) -> None:
+        def run_shard(k: int) -> None:
+            owner, items = groups[k]
             payload = {"op": "batch", "tasks": [task for _, task, _ in items]}
             if request_id is not None:
                 payload["request_id"] = request_id
-            cond = threading.Condition()
-            replies: list[tuple[str, WorkerInfo, str, object]] = []
+            t0 = self.clock()
+            try:
+                reply = self._send(owner, payload)
+            except ServiceOverloaded as exc:
+                outcomes[k] = ("overloaded", owner, items, exc)
+            except _FAILOVER_ERRORS as exc:
+                self.catalog.record_failure(owner.name, failover=True)
+                self._count(failovers=1)
+                outcomes[k] = ("lost", owner, items, exc)
+            except Exception as exc:
+                # Stored for the request thread to raise: an exception
+                # escaping a shard thread would be lost with its slot.
+                outcomes[k] = ("error", owner, items, exc)
+            else:
+                self._hist_shard.observe(self.clock() - t0)
+                outcomes[k] = ("ok", owner, items, reply)
 
-            def attempt(worker: WorkerInfo, role: str) -> None:
-                status, extra = dispatch_once(worker, payload)
-                with cond:
-                    replies.append((role, worker, status, extra))
-                    cond.notify_all()
-
-            threading.Thread(
-                target=attempt, args=(owner, "primary"), daemon=True
-            ).start()
-            backup: WorkerInfo | None = None
-            with cond:
-                if hedge_after is not None:
-                    cond.wait_for(lambda: replies, timeout=hedge_after)
-                    if not replies:
-                        backup = self._pick_hedge_candidate(
-                            items[0][2], {owner.name} | set(excluded)
-                        )
-                        if backup is not None:
-                            self._count(hedges_sent=1)
-                            log.info(
-                                "hedging %d-task shard of slow worker %s "
-                                "onto %s", len(items), owner.name, backup.name,
-                            )
-                            threading.Thread(
-                                target=attempt, args=(backup, "hedge"),
-                                daemon=True,
-                            ).start()
-                expected = 2 if backup is not None else 1
-                while True:
-                    winner = next(
-                        (r for r in replies if r[2] == "ok"), None
-                    )
-                    if winner is None and len(replies) >= expected:
-                        # Both attempts failed: report the primary's
-                        # outcome (deterministic error surface).
-                        winner = next(
-                            (r for r in replies if r[0] == "primary"),
-                            replies[0],
-                        )
-                    if winner is not None:
-                        break
-                    cond.wait()
-                resolved = list(replies)
-            role, worker, status, extra = winner
-            hedge_won = status == "ok" and role == "hedge"
-            if hedge_won:
-                self._count(hedges_won=1)
-            failed = {
-                w.name for _, w, s, _ in resolved if s == "lost"
-            }
-            with outcomes_lock:
-                outcomes.append({
-                    "status": status,
-                    "worker": worker,
-                    "owner": owner,
-                    "items": items,
-                    "extra": extra,
-                    "failed": failed,
-                    "hedged": backup is not None,
-                    "hedge_won": hedge_won,
-                })
-
-        groups = list(shards.values())
-        if len(groups) == 1:
-            run_shard(*groups[0])
-        else:
-            threads = [
-                threading.Thread(target=run_shard, args=group, daemon=True)
-                for group in groups
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
+        threads = [
+            threading.Thread(target=run_shard, args=(k,), daemon=True)
+            for k in range(1, len(groups))
+        ]
+        for thread in threads:
+            thread.start()
+        run_shard(0)
+        for thread in threads:
+            thread.join()
+        for status, _, _, extra in outcomes:
+            if status == "error":
+                raise extra
 
         t_merge = self.clock()
         retry_items: list[tuple[int, object, str]] = []
         failed_names: set[str] = set()
         last_error: ServiceError | None = None
         retry_after: float | None = None
-        for outcome in outcomes:
-            status = outcome["status"]
-            owner = outcome["owner"]
-            items = outcome["items"]
-            extra = outcome["extra"]
-            if outcome["hedged"]:
-                agg["hedges"] += 1
+        for status, owner, items, extra in outcomes:
             if tele is not None:
-                hop = {
-                    "worker": outcome["worker"].name,
-                    "status": status,
-                    "units": len(items),
-                }
-                if outcome["hedged"]:
-                    hop["hedged"] = True
-                    if outcome["hedge_won"]:
-                        hop["hedge_won"] = True
+                hop = {"worker": owner.name, "status": status, "units": len(items)}
                 if status == "ok":
                     worker_tel = extra.pop("telemetry", None)
                     if worker_tel is not None:
@@ -746,15 +609,13 @@ class OrchestratorServer(ServiceHost):
                     agg[field] += int(sub_stats.get(field, 0) or 0)
             else:
                 last_error = extra
-                failed_names |= outcome["failed"] or {owner.name}
+                failed_names.add(owner.name)
                 if status == "overloaded" and extra.retry_after is not None:
                     retry_after = max(retry_after or 0.0, extra.retry_after)
                 if status == "lost":
                     agg["failovers"] += len(items)
                     for index, _, _ in items:
-                        attempts.setdefault(index, set()).update(
-                            outcome["failed"] or {owner.name}
-                        )
+                        attempts.setdefault(index, set()).add(owner.name)
                 for item in items:
                     index = item[0]
                     if (

@@ -86,6 +86,20 @@ class TestReplication:
         # Finite buffers: everything paced by P2 (z = 2·(1/2) = 1).
         assert rho == pytest.approx(1.0, rel=1e-3)
 
+    def test_semantics_gap_on_skewed_branches(self):
+        """A fast sender feeding one fast and one very slow replica: the
+        bottleneck composition is paced by the slow replica, so the
+        unbounded value is more than 1.5x the bottleneck one (10.5x)."""
+        mp = make_mapping(
+            [[0], [1, 2]],
+            works=[0.01, 2.0],
+            files=[0.01],
+            speeds=[100.0, 10.0, 0.5],
+        )
+        unb = overlap_throughput(mp, "deterministic")
+        bot = overlap_throughput(mp, "deterministic", semantics="bottleneck")
+        assert unb > bot * 1.5
+
     def test_unbounded_at_least_bottleneck(self):
         for seed in range(6):
             mp = make_mapping([[0], [1, 2], [3, 4, 5]], seed=seed)

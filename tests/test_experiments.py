@@ -1,7 +1,7 @@
 """Tests for the experiment drivers (scaled-down configurations).
 
 Each driver must run end to end and reproduce the paper's qualitative
-shape; the full-size campaigns live in ``benchmarks/``.
+shape; ``repro.cli run <experiment>`` runs the full-size campaigns.
 """
 
 from __future__ import annotations

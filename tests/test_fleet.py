@@ -28,7 +28,6 @@ from repro.exceptions import (
 )
 from repro.mapping.examples import single_communication
 from repro.service import (
-    FaultInjector,
     FleetSupervisor,
     RetryPolicy,
     ServiceClient,
@@ -492,41 +491,6 @@ class TestFleetSupervisor:
 
 
 # ----------------------------------------------------------------------
-# Hedged straggler dispatch
-# ----------------------------------------------------------------------
-class TestHedgedDispatch:
-    def test_straggling_shard_is_hedged_and_the_loser_discarded(self):
-        task = pattern_task(2, 3)
-        with local_fleet(2, hedge_threshold=0.1) as fleet:
-            with fleet.client() as client:
-                first_values, _, _ = client.evaluate_batch([task])
-                first = first_values[0]
-                # Stall the affinity owner of this key: its *next* work
-                # op sleeps far past the hedge threshold.
-                owner = fleet.orchestrator.strategy.rank(
-                    task_routing_key(task), fleet.catalog.live_workers()
-                )[0].name
-                fleet.worker(owner).server.faults = FaultInjector(
-                    {"hang": 1}, hang_s=0.8
-                )
-                (hedged,), fails, _ = client.evaluate_batch([task])
-                stats = client.stats()
-        assert fails == []
-        assert hedged == first  # the hedge returned the same value
-        orch = stats["orchestrator"]
-        assert orch["hedges_sent"] >= 1
-        assert orch["hedges_won"] >= 1
-
-    def test_hedging_disabled_never_speculates(self):
-        task = pattern_task(2, 3)
-        with local_fleet(2, hedge=False) as fleet:
-            with fleet.client() as client:
-                client.evaluate_batch([task])
-                stats = client.stats()
-        assert stats["orchestrator"]["hedges_sent"] == 0
-
-
-# ----------------------------------------------------------------------
 # Poison-unit quarantine
 # ----------------------------------------------------------------------
 class TestPoisonQuarantine:
@@ -536,7 +500,6 @@ class TestPoisonQuarantine:
             2,
             faults={0: "drop:4", 1: "drop:4"},
             max_unit_attempts=2,
-            hedge=False,
             retry=RetryPolicy(
                 max_attempts=2, base_delay=0.01, max_delay=0.02, seed=0,
             ),
@@ -560,7 +523,6 @@ class TestPoisonQuarantine:
             3,
             faults={0: "drop:8", 1: "drop:8", 2: "drop:8"},
             max_unit_attempts=3,
-            hedge=False,
             retry=RetryPolicy(
                 max_attempts=2, base_delay=0.01, max_delay=0.02, seed=0,
             ),
@@ -579,14 +541,12 @@ class TestPoisonQuarantine:
 # Self-healing acceptance proof
 # ----------------------------------------------------------------------
 class TestSelfHealingAcceptance:
-    def test_supervised_chaos_run_heals_hedges_and_matches_direct(
-        self, tmp_path
-    ):
-        """The PR acceptance proof: a 4-worker *supervised* fleet loses a
-        worker mid-campaign (the supervisor respawns it through the
-        breaker's half-open probe) and a straggling shard is hedged —
-        and the store still comes out byte-identical to a direct
-        in-process run, with zero lost or duplicated units."""
+    def test_supervised_chaos_run_heals_and_matches_direct(self, tmp_path):
+        """The self-healing acceptance proof: a 4-worker *supervised*
+        fleet loses a worker mid-campaign (the supervisor respawns it
+        through the breaker's half-open probe), and the store still
+        comes out byte-identical to a direct in-process run, with zero
+        lost or duplicated units."""
         spec = get_preset("smoke")
         direct_store = ResultStore(tmp_path / "direct.jsonl")
         run_campaign(spec, direct_store)
@@ -595,7 +555,6 @@ class TestSelfHealingAcceptance:
         with local_fleet(
             4,
             breaker_cooldown_s=0.05,
-            hedge_threshold=0.2,
             retry=RetryPolicy(
                 max_attempts=4, base_delay=0.01, max_delay=0.05, seed=0,
             ),
@@ -617,19 +576,10 @@ class TestSelfHealingAcceptance:
                     while supervisor.respawns < 1:
                         assert time.monotonic() < deadline, "no respawn seen"
                         time.sleep(0.01)
-                    # Force one deterministic hedge: stall the affinity
-                    # owner of a probe task and let the orchestrator
-                    # speculate the shard onto the next-ranked worker.
-                    workers = fleet.catalog.live_workers()
-                    assert len(workers) == 4  # the respawn rejoined
-                    probe = distinct_tasks(8)[0]
-                    owner = fleet.orchestrator.strategy.rank(
-                        task_routing_key(probe), workers
-                    )[0].name
-                    fleet.worker(owner).server.faults = FaultInjector(
-                        {"hang": 1}, hang_s=0.8
-                    )
-                    _, probe_fails, _ = client.evaluate_batch([probe])
+                    assert len(fleet.catalog.live_workers()) == 4  # rejoined
+                    # One clean probe batch: its routing snapshot admits
+                    # the respawned w1 to its half-open trial.
+                    _, probe_fails, _ = client.evaluate_batch(distinct_tasks(8))
                     assert probe_fails == []
                     stats = client.stats()
             finally:
@@ -641,8 +591,6 @@ class TestSelfHealingAcceptance:
             tmp_path / "direct.jsonl"
         ).read_bytes()
         assert stats["supervisor"]["respawns"] >= 1
-        assert stats["orchestrator"]["hedges_sent"] >= 1
-        assert stats["orchestrator"]["hedges_won"] >= 1
         rows = {r["name"]: r for r in stats["workers"]}
         assert rows["w1"]["breaker"]["half_open_transitions"] >= 1
 
@@ -975,6 +923,29 @@ class TestFailover:
                         {"op": "evaluate", "task": pattern_task()}, retry=None
                     )
 
+    @pytest.mark.parametrize("n_tasks, n_shards", [(1, 1), (8, 2)])
+    def test_worker_error_reply_fails_the_batch_at_once(
+        self, n_tasks, n_shards
+    ):
+        # A worker's error reply is not a lost worker: the batch fails
+        # with it at once, as an evaluate does, and nothing stays in
+        # flight on the orchestrator.
+        tasks = distinct_tasks(n_tasks)
+
+        def broken_run_batch(batch):
+            raise RuntimeError("worker bug")
+
+        with local_fleet(2) as fleet:
+            with fleet.client(timeout=5.0, retry=None) as client:
+                _, _, stats = client.evaluate_batch(tasks)
+                assert stats["shards"] == n_shards
+                for worker in fleet.workers:
+                    worker.server.engine.run_batch = broken_run_batch
+                with pytest.raises(ServiceError, match="worker bug"):
+                    client.evaluate_batch(tasks)
+            assert fleet.orchestrator.wait_for_inflight(timeout=5.0)
+            assert fleet.orchestrator.in_flight == 0
+
     def test_check_workers_evicts_and_revives(self):
         with local_fleet(2) as fleet:
             orch = fleet.orchestrator
@@ -1087,7 +1058,7 @@ class TestFleetCli:
         assert main(["stats", "--host", host, "--port", str(port)]) == 0
         out = capsys.readouterr().out
         assert "orchestrator: strategy=round_robin" in out
-        assert "0 hedges sent (0 won), 0 quarantined" in out
+        assert "0 failovers, 0 quarantined" in out
         assert "fleet totals: 4 units, 4 executed" in out
         for column in ("worker", "endpoint", "breaker", "routed", "failov"):
             assert column in out

@@ -118,6 +118,16 @@ class TestExploreEquivalence:
             explore_reference(tpn, max_states=100_000),
         )
 
+    def test_mid_size_strict_net(self):
+        """The 10 368-marking Strict net the ``bench`` reachability
+        workload times: both explorers find every marking, identically."""
+        tpn = build_strict_tpn(
+            make_mapping([[0, 1], [2, 3, 4], [5, 6, 7]], seed=1)
+        )
+        vec = explore(tpn, max_states=500_000)
+        assert vec.n_states == 10_368
+        assert_same_reachability(vec, explore_reference(tpn, max_states=500_000))
+
     def test_flat_arcs_consistent(self):
         tpn = build_strict_tpn(make_mapping([[0], [1, 2]], seed=4))
         reach = explore(tpn)
@@ -171,6 +181,15 @@ class TestSimulatorEngines:
         ref = simulate_tpn(tpn, n_datasets=150, seed=seed, engine="reference")
         fast = simulate_tpn(tpn, n_datasets=150, seed=seed, engine="fast")
         assert fast.n_events == ref.n_events
+        assert np.array_equal(fast.completion_times, ref.completion_times)
+
+    def test_paper_system_matches(self):
+        from repro.experiments.fig10 import paper_system
+
+        tpn = build_overlap_tpn(paper_system())
+        ref = simulate_tpn(tpn, n_datasets=300, seed=7, engine="reference")
+        fast = simulate_tpn(tpn, n_datasets=300, seed=7, engine="fast")
+        assert fast.n_processed == 300
         assert np.array_equal(fast.completion_times, ref.completion_times)
 
     def test_throttle_none_matches(self):

@@ -158,6 +158,24 @@ class TestTpnBridge:
         # balanced tandem converges only like 1 - O(1/B).
         assert values[0] < values[1] < values[2] < target
 
+    def test_capacity_eight_is_past_four_fifths_of_decomposition(self):
+        """The same tandem through ``exponential_throughput``: at B = 8
+        the finite-buffer chain already gives more than 0.8 of the
+        unbounded value (0.849 exactly), and stays below it."""
+        from repro.core import exponential_throughput, overlap_throughput
+
+        mp = make_mapping([[0], [1]], works=[1.0, 1.0], files=[1.0])
+        target = overlap_throughput(mp, "exponential")
+        values = [
+            exponential_throughput(
+                mp, "overlap", method="full", buffer_capacity=cap,
+                max_states=400_000,
+            )
+            for cap in (1, 2, 4, 8)
+        ]
+        assert values == sorted(values)
+        assert 0.8 * target < values[-1] < target
+
     def test_capacitated_ctmc_matches_des(self):
         """The finite-buffer marking chain is exact: DES agrees."""
         from repro.sim.tpn_sim import simulate_tpn

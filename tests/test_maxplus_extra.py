@@ -120,6 +120,21 @@ class TestDater:
         )
         assert np.allclose(sim.completion_times, completions, atol=1e-9)
 
+    def test_paper_system_matches_symbolic(self):
+        """The Fig. 10 system's Overlap net: a positive critical-cycle
+        ratio, and the dater (unbounded semantics) within 5% of the
+        symbolic decomposition."""
+        from repro.core import overlap_throughput
+        from repro.experiments.fig10 import paper_system
+
+        mp = paper_system()
+        tpn = build_overlap_tpn(mp)
+        assert max_cycle_ratio(tpn.to_token_graph()).ratio > 0
+        est = dater_throughput(tpn, 50)
+        assert est == pytest.approx(
+            overlap_throughput(mp, "deterministic"), rel=0.05
+        )
+
     def test_exponential_dater_matches_theory(self):
         """Stochastic dater estimate ≈ exact CTMC value (Strict)."""
         from repro.core import strict_exponential_throughput

@@ -75,6 +75,34 @@ class TestNetStructure:
             build_overlap_tpn(example_c(), max_transitions=1000)
 
 
+def token_ring(*, dead_arc: bool) -> TimedEventGraph:
+    """Three transitions on a one-token ring 0 → 1 → 2 → 0.
+
+    ``dead_arc`` adds an unmarked place 2 → 1, which closes the cycle
+    1 → 2 → 1 with no token on it: neither transition can ever fire.
+    """
+    tpn = TimedEventGraph(n_rows=1, n_columns=3)
+    for t in range(3):
+        tpn.add_transition(TransitionKind.COMPUTE, t, 0, t, ("cpu", t), 1.0)
+    tpn.add_place(0, 1, 0, PlaceKind.FLOW)
+    tpn.add_place(1, 2, 0, PlaceKind.FLOW)
+    tpn.add_place(2, 0, 1, PlaceKind.FLOW)
+    if dead_arc:
+        tpn.add_place(2, 1, 0, PlaceKind.CAPACITY)
+    return tpn
+
+
+class TestLiveness:
+    def test_marked_ring_is_live(self):
+        assert is_live(token_ring(dead_arc=False))
+
+    def test_zero_token_cycle_is_not_live(self):
+        tpn = token_ring(dead_arc=True)
+        assert not is_live(tpn)
+        with pytest.raises(StructuralError, match="not live"):
+            validate(tpn)
+
+
 class TestOverlapBuilder:
     def test_feed_forward(self, three_stage_mixed):
         """Overlap nets never point backwards (Theorem 3's hypothesis)."""

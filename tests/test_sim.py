@@ -119,6 +119,18 @@ class TestTpnSimulator:
         )
         assert sim.n_events < 50 * 2000
 
+    def test_throttle_does_not_bias_throughput(self):
+        """On a symmetric system the run-ahead cap changes no estimate
+        by 5% or more."""
+        tpn = build_overlap_tpn(single_communication(3, 4))
+        values = [
+            simulate_tpn(
+                tpn, n_datasets=4000, law="exponential", seed=5, throttle=cap
+            ).steady_state_throughput()
+            for cap in (4, 16, 64)
+        ]
+        assert max(values) - min(values) < 0.05 * max(values)
+
     def test_throttle_validation(self):
         mp = make_mapping([[0]])
         tpn = build_overlap_tpn(mp)
