@@ -7,8 +7,7 @@ run by the generic sweep engine with a resumable store instead of
 bespoke loops. Their descriptions come straight from the experiment
 registry, so ``repro.cli list`` and the presets stay one source.
 
-``smoke`` is the tiny 4-unit grid used by CI and the benchmark
-harness.
+``smoke`` is the tiny 4-unit grid the CI smoke jobs run.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from repro.experiments import experiment_description
 def _smoke() -> CampaignSpec:
     return CampaignSpec(
         name="smoke",
-        description="tiny 4-unit deterministic grid (CI / bench smoke)",
+        description="tiny 4-unit deterministic grid (CI smoke)",
         seed=0,
         scenarios=[
             ScenarioSpec(

@@ -31,8 +31,6 @@ Usage::
     python -m repro.cli metrics --port 7790 --json      # raw snapshot
     python -m repro.cli trace 1f2e3d4c5b6a7988 --recorder-dir flight/
     python -m repro.cli shutdown --port 7781
-    python -m repro.cli bench --quick --output BENCH_PR4.json
-    python -m repro.cli bench --workloads replication --output rep.json
 
 Exit-code contract of the service probes (for CI and operators):
 ``ping``/``stats``/``metrics`` exit 0 when a server answers on the
@@ -368,6 +366,7 @@ def _parse_fleet_faults(spec: str, n_workers: int) -> dict[int, str]:
 
     plans: dict[int, str] = {}
     if "=" in spec:
+        clauses: dict[int, str] = {}
         for clause in spec.split(";"):
             clause = clause.strip()
             if not clause:
@@ -385,6 +384,12 @@ def _parse_fleet_faults(spec: str, n_workers: int) -> dict[int, str]:
                     f"invalid fleet fault clause {clause!r}: worker index "
                     f"{index} out of range for {n_workers} worker(s)"
                 )
+            if index in clauses:
+                raise ServiceError(
+                    f"duplicate fleet fault clauses {clauses[index]!r} and "
+                    f"{clause!r} both arm worker {index}"
+                )
+            clauses[index] = clause
             plans[index] = sub_spec
     else:
         plans = {index: spec for index in range(n_workers)}
@@ -800,40 +805,6 @@ def _cmd_metrics(args, parser) -> int:
     # Default: Prometheus text exposition, scrapeable as-is.
     print(reply.get("exposition", ""), end="")
     return 0
-
-
-def _cmd_bench_trajectory(args, parser) -> int:
-    from repro.perf import load_trajectory, render_trajectory
-
-    try:
-        entries = load_trajectory(args.dir, extra=tuple(args.report or ()))
-    except (OSError, ValueError) as exc:
-        parser.error(str(exc))
-    if not entries:
-        parser.error(f"no BENCH_PR*.json reports found in {args.dir}")
-    if args.json:
-        print(json.dumps(entries, indent=2, sort_keys=True))
-        return 0
-    print(render_trajectory(entries))
-    return 0
-
-
-def _cmd_bench_compare(args, parser) -> int:
-    from repro.perf import compare_reports, load_report, render_comparison
-
-    if args.tolerance < 0:
-        parser.error("--tolerance must be >= 0")
-    try:
-        baseline = load_report(args.baseline)
-        new = load_report(args.new)
-    except (OSError, ValueError) as exc:
-        parser.error(str(exc))
-    result = compare_reports(baseline, new, tolerance=args.tolerance)
-    if args.json:
-        print(json.dumps(result, indent=2, sort_keys=True))
-    else:
-        print(render_comparison(result))
-    return 0 if result["ok"] else 1
 
 
 def _render_top(stats: dict, metrics: dict, prof: dict, *, top_k: int) -> None:
@@ -1869,77 +1840,25 @@ def main(argv: list[str] | None = None) -> int:
 
     benchp = sub.add_parser(
         "bench",
-        help="run the engine micro-benchmarks and write a JSON report "
-        "(subcommands: 'trajectory' renders the committed baseline "
-        "history, 'compare' gates a new report against a baseline)",
-    )
-    bsub = benchp.add_subparsers(dest="bench_command")
-    btraj = bsub.add_parser(
-        "trajectory",
-        help="render the per-workload perf trajectory across every "
-        "committed BENCH_PR*.json report",
-    )
-    btraj.add_argument(
-        "--dir", default=".", metavar="DIR",
-        help="directory holding the committed reports (default: %(default)s)",
-    )
-    btraj.add_argument(
-        "--report", action="append", default=None, metavar="FILE",
-        help="append an extra (uncommitted) report to the trajectory "
-        "(repeatable; e.g. a fresh run to preview against history)",
-    )
-    btraj.add_argument(
-        "--json", action="store_true",
-        help="dump the loaded trajectory as JSON instead of tables",
-    )
-    bcomp = bsub.add_parser(
-        "compare",
-        help="compare two benchmark reports engine-by-engine "
-        "(exit 0: within tolerance, 1: regression)",
-    )
-    bcomp.add_argument("baseline", help="baseline report JSON file")
-    bcomp.add_argument("new", help="candidate report JSON file")
-    bcomp.add_argument(
-        "--tolerance", type=float, default=0.5, metavar="FRACTION",
-        help="allowed slowdown as a fraction of the baseline median "
-        "(0.5 tolerates a 1.5x slowdown; default: %(default)s)",
-    )
-    bcomp.add_argument(
-        "--json", action="store_true",
-        help="dump the comparison verdicts as JSON instead of a table",
-    )
-    benchp.add_argument(
-        "--list-workloads", action="store_true",
-        help="print the benchmark engine names --workloads can match, "
-        "one per line, and exit without running anything",
+        help="run the self-heal chaos benchmark (service.selfheal) and "
+        "write a JSON report",
     )
     benchp.add_argument(
         "--quick",
         action="store_true",
-        help="smaller nets and fewer repeats (CI smoke mode)",
+        help="a shorter trace and fewer repeats",
     )
     benchp.add_argument(
         "--repeats",
         type=int,
         default=None,
-        help="timing repeats per engine (default: 5, or 2 with --quick)",
+        help="timing repeats (default: 5, or 2 with --quick)",
     )
     benchp.add_argument(
         "--output",
         default="BENCH_PR1.json",
         help="path of the JSON report, or '-' to stream the raw JSON to "
         "stdout without touching disk (default: %(default)s)",
-    )
-    benchp.add_argument(
-        "--workloads",
-        nargs="+",
-        default=None,
-        metavar="SUBSTR",
-        help="only run workload blocks whose engine names contain one of "
-        "these substrings — paired engines run together, so matching one "
-        "side re-times its whole pair (e.g. 'replication' re-times "
-        "replication.loop + replication.vectorized); default: the whole "
-        "suite",
     )
     benchp.add_argument(
         "--force",
@@ -1981,22 +1900,8 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_shutdown(args, parser)
 
     if args.command == "bench":
-        if getattr(args, "bench_command", None) == "trajectory":
-            return _cmd_bench_trajectory(args, parser)
-        if getattr(args, "bench_command", None) == "compare":
-            return _cmd_bench_compare(args, parser)
+        from repro.bench import render_report, run_benchmarks, write_report
 
-        from repro.bench import (
-            available_workloads,
-            render_report,
-            run_benchmarks,
-            write_report,
-        )
-
-        if args.list_workloads:
-            for name in available_workloads():
-                print(name)
-            return 0
         if args.repeats is not None and args.repeats < 1:
             parser.error("--repeats must be >= 1")
         to_stdout = args.output == "-"
@@ -2006,18 +1911,10 @@ def main(argv: list[str] | None = None) -> int:
                 "baseline?); pass --force to overwrite or choose another "
                 "--output"
             )
-        try:
-            report = run_benchmarks(
-                quick=args.quick,
-                repeats=args.repeats,
-                workloads=args.workloads,
-            )
-        except ValueError as exc:
-            parser.error(str(exc))
+        report = run_benchmarks(quick=args.quick, repeats=args.repeats)
         if to_stdout:
-            # Pure JSON on stdout (the human table would corrupt the
-            # stream): the shape the CI perf gate pipes into 'bench
-            # compare' without leaving a file behind.
+            # Pure JSON on stdout: the human table would corrupt the
+            # stream.
             print(json.dumps(report, indent=2, sort_keys=True))
             return 0
         print(render_report(report))

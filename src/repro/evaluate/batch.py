@@ -259,8 +259,8 @@ def _run_uncached(
 ) -> list[float | TaskFailure]:
     """Disabled-cache semantics: every request evaluated independently.
 
-    This is the pre-refactor cost model (no dedup, no memo) that the
-    bench baselines measure; the disabled cache still counts misses.
+    This is the pre-refactor cost model (no dedup, no memo); the
+    disabled cache still counts misses.
     """
     values = _run_tasks(tasks, n_jobs, pool=pool, record=record)
     opts_keys: dict[int, tuple] = {}

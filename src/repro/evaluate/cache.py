@@ -16,7 +16,7 @@ One :class:`StructureCache` instance memoizes, across any number of
 
 The cache is a plain in-process object: share one instance to share
 work, pass ``StructureCache(enabled=False)`` to measure the uncached
-cost (the ``repro.bench`` search workload does exactly that).
+cost.
 
 A long-lived holder — the :mod:`repro.service` daemon keeps one cache
 for its whole lifetime — can bound memory with ``max_entries``: each of

@@ -1,4 +1,4 @@
-"""(max,+) algebra: semiring, matrices, and critical-cycle computation.
+"""(max,+) algebra: semiring, dater recursion, and critical-cycle computation.
 
 Timed event graphs evolve linearly in the (max,+) semiring (paper
 Section 4, after Baccelli et al. [2]); the throughput of a strongly
@@ -7,7 +7,6 @@ connected graph is the inverse of its maximum cycle ratio
 """
 
 from repro.maxplus.semiring import NEG_INF, oplus, otimes, is_neg_inf
-from repro.maxplus.matrix import MaxPlusMatrix
 from repro.maxplus.graph import Arc, TokenGraph
 from repro.maxplus.cycle import (
     CycleResult,
@@ -21,7 +20,6 @@ __all__ = [
     "oplus",
     "otimes",
     "is_neg_inf",
-    "MaxPlusMatrix",
     "Arc",
     "TokenGraph",
     "CycleResult",

@@ -5,7 +5,7 @@ Two ways to stand up an orchestrator + N workers:
 * :func:`local_fleet` — everything in this process (N worker servers on
   background threads, each with its own :class:`EvaluationEngine`, plus
   the orchestrator). The embedding entry point for the tests and the
-  ``service.fleet`` benchmark: deterministic, no subprocesses, and the
+  ``service.selfheal`` benchmark: deterministic, no subprocesses, and the
   returned handle can *kill* a worker abruptly — listening socket and
   established connections torn down mid-request — to exercise failover
   exactly like a crashed daemon would;
@@ -467,8 +467,7 @@ def local_fleet(
     Workers get the stable catalog names ``w0`` … ``w<n-1>`` (the
     rendezvous-hash shard identities) and each owns an independent
     engine — ``max_entries`` bounds each worker's structure cache, so a
-    fleet's *aggregate* cache capacity scales with its size, which is
-    exactly what the ``service.fleet`` benchmark measures on one core.
+    fleet's *aggregate* cache capacity scales with its size.
     ``faults`` maps worker index → :class:`FaultInjector` spec (e.g.
     ``{1: "drop:1"}``) for failover tests. ``recorder_dir`` switches the
     flight recorders on: one ``w<k>.jsonl`` per worker plus

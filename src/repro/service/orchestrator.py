@@ -965,8 +965,8 @@ def serve_orchestrator_in_thread(
 ) -> tuple[OrchestratorServer, threading.Thread]:
     """Start an orchestrator on a background thread (ephemeral port).
 
-    The embedding entry point used by the tests, the fleet benchmark
-    and :func:`~repro.service.fleet.local_fleet`; keyword arguments are
+    The embedding entry point used by the tests and
+    :func:`~repro.service.fleet.local_fleet`; keyword arguments are
     :class:`OrchestratorServer`'s. The caller owns the lifecycle::
 
         orch, thread = serve_orchestrator_in_thread(catalog)

@@ -11,7 +11,8 @@ import json
 import pytest
 
 from repro.campaign import get_preset
-from repro.cli import main
+from repro.cli import _parse_fleet_faults, main
+from repro.exceptions import ServiceError
 
 
 class TestList:
@@ -56,27 +57,48 @@ class TestBenchGuard:
             main(["bench", "--quick", "--output", str(target)])
         assert exc.value.code == 2
 
-    def test_workloads_filter_runs_subset(self, tmp_path, capsys):
-        import json
-
-        target = tmp_path / "bench.json"
+    def test_output_dash_streams_the_report_and_writes_nothing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # '-' is a stream, not a path: an existing file named '-' must
+        # neither trip the --force guard nor be written.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "-").write_text("sentinel")
         assert main(
-            ["bench", "--quick", "--workloads", "maxplus",
-             "--output", str(target)]
+            ["bench", "--quick", "--repeats", "1", "--output", "-"]
         ) == 0
-        capsys.readouterr()
-        report = json.loads(target.read_text())
-        assert list(report["engines"]) == ["maxplus.matmul"]
-        assert report["speedups"] == {}
-        assert report["meta"]["workloads"] == ["maxplus"]
+        report = json.loads(capsys.readouterr().out)  # pure JSON
+        assert [p.name for p in tmp_path.iterdir()] == ["-"]
+        assert (tmp_path / "-").read_text() == "sentinel"
+        heal = report["engines"]["service.selfheal"]
+        assert heal["values_identical_to_clean"] is True
+        assert heal["no_lost_or_duplicated_units"] is True
+        assert heal["respawns"] == heal["kills"] >= 1
 
-    def test_workloads_filter_rejects_no_match(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(
-                ["bench", "--quick", "--workloads", "nonesuch",
-                 "--output", str(tmp_path / "b.json")]
-            )
-        assert exc.value.code == 2
+
+class TestParseFleetFaults:
+    def test_plain_spec_arms_every_worker(self):
+        assert _parse_fleet_faults("drop:1", 3) == {
+            0: "drop:1", 1: "drop:1", 2: "drop:1",
+        }
+
+    def test_per_index_clauses_arm_only_the_named_workers(self):
+        assert _parse_fleet_faults("0=crash:1; 2=hang:1:5;", 3) == {
+            0: "crash:1", 2: "hang:1:5",
+        }
+
+    @pytest.mark.parametrize(
+        "spec,match",
+        [
+            ("3=crash:1", "worker index 3 out of range for 3 worker"),
+            ("w1=crash:1", "'w1' is not a worker index"),
+            ("0=crash:1;0=drop:2", "'0=crash:1' and '0=drop:2' both arm worker 0"),
+            ("1=drop:x", "'x' is not an integer"),
+        ],
+    )
+    def test_bad_clauses_are_rejected(self, spec, match):
+        with pytest.raises(ServiceError, match=match):
+            _parse_fleet_faults(spec, 3)
 
 
 class TestCampaign:

@@ -119,8 +119,8 @@ class TestExploreEquivalence:
         )
 
     def test_mid_size_strict_net(self):
-        """The 10 368-marking Strict net the ``bench`` reachability
-        workload times: both explorers find every marking, identically."""
+        """The 10 368-marking mid-size Strict net: both explorers find
+        every marking, identically."""
         tpn = build_strict_tpn(
             make_mapping([[0, 1], [2, 3, 4], [5, 6, 7]], seed=1)
         )
@@ -237,40 +237,6 @@ class TestParallelReplicate:
         tpn = build_strict_tpn(make_mapping([[0], [1]]))
         with pytest.raises(ValueError, match="n_jobs"):
             replicate(partial(_replication_run, tpn), n_replications=2, n_jobs=0)
-
-
-class TestRowBlockedMatmul:
-    def _naive(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        n = a.shape[0]
-        out = np.full((n, n), -np.inf)
-        for i in range(n):
-            for j in range(n):
-                out[i, j] = np.max(a[i, :] + b[:, j])
-        return out
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_matches_naive(self, seed):
-        from repro.maxplus.matrix import MaxPlusMatrix
-
-        r = np.random.default_rng(seed)
-        n = 17
-        a = r.uniform(-3, 3, (n, n))
-        b = r.uniform(-3, 3, (n, n))
-        a[r.random((n, n)) < 0.4] = -np.inf
-        b[r.random((n, n)) < 0.4] = -np.inf
-        got = (MaxPlusMatrix(a) @ MaxPlusMatrix(b)).array
-        assert np.array_equal(got, self._naive(a, b))
-
-    def test_blocking_is_invisible(self, monkeypatch):
-        from repro.maxplus.matrix import MaxPlusMatrix
-
-        r = np.random.default_rng(9)
-        a = MaxPlusMatrix(r.uniform(0, 5, (23, 23)))
-        whole = (a @ a).array
-        # Shrink the block budget so the product runs one row at a time.
-        monkeypatch.setattr(MaxPlusMatrix, "_BLOCK_ELEMENTS", 1)
-        blocked = (a @ a).array
-        assert np.array_equal(whole, blocked)
 
 
 class TestErrorParity:

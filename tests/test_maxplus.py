@@ -9,7 +9,6 @@ from repro.exceptions import StructuralError
 from repro.maxplus import (
     NEG_INF,
     Arc,
-    MaxPlusMatrix,
     TokenGraph,
     max_cycle_ratio,
     max_cycle_ratio_brute_force,
@@ -30,63 +29,6 @@ class TestSemiring:
     def test_vectorized(self):
         a = np.array([1.0, NEG_INF])
         assert np.array_equal(oplus(a, 0.0), [1.0, 0.0])
-
-
-class TestMaxPlusMatrix:
-    def test_identity_neutral(self):
-        a = MaxPlusMatrix(np.array([[1.0, 2.0], [NEG_INF, 3.0]]))
-        i = MaxPlusMatrix.identity(2)
-        assert (a @ i) == a
-        assert (i @ a) == a
-
-    def test_zeros_absorbing(self):
-        a = MaxPlusMatrix(np.array([[1.0, 2.0], [0.0, 3.0]]))
-        z = MaxPlusMatrix.zeros(2)
-        assert (a @ z) == z
-
-    def test_matmul_definition(self):
-        a = MaxPlusMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        b = MaxPlusMatrix(np.array([[5.0, 6.0], [7.0, 8.0]]))
-        c = (a @ b).array
-        # c[0,0] = max(1+5, 2+7) = 9
-        assert c[0, 0] == 9.0
-        assert c[1, 1] == 12.0
-
-    def test_power(self):
-        a = MaxPlusMatrix(np.array([[NEG_INF, 1.0], [2.0, NEG_INF]]))
-        p2 = a.power(2).array
-        assert p2[0, 0] == 3.0  # 0 -> 1 -> 0
-        assert a.power(0) == MaxPlusMatrix.identity(2)
-
-    def test_power_negative_rejected(self):
-        with pytest.raises(ValueError):
-            MaxPlusMatrix.identity(2).power(-1)
-
-    def test_vecmul_is_dater_update(self):
-        a = MaxPlusMatrix(np.array([[1.0, NEG_INF], [0.0, 2.0]]))
-        v = np.array([0.0, 5.0])
-        out = a.vecmul(v)
-        assert out[0] == 5.0  # max(0+1, 5+0)
-        assert out[1] == 7.0
-
-    def test_eigenvalue_is_max_mean_cycle(self):
-        # Two loops: self-loop of weight 2 at node 0, 2-cycle of mean 2.5.
-        a = np.full((2, 2), NEG_INF)
-        a[0, 0] = 2.0
-        a[0, 1] = 3.0
-        a[1, 0] = 2.0
-        m = MaxPlusMatrix(a)
-        assert m.eigenvalue() == pytest.approx(2.5)
-
-    def test_eigenvalue_requires_irreducible(self):
-        a = np.full((2, 2), NEG_INF)
-        a[0, 1] = 1.0
-        with pytest.raises(StructuralError):
-            MaxPlusMatrix(a).eigenvalue()
-
-    def test_non_square_rejected(self):
-        with pytest.raises(StructuralError):
-            MaxPlusMatrix(np.zeros((2, 3)))
 
 
 class TestTokenGraph:
@@ -194,47 +136,3 @@ class TestMaxCycleRatio:
         oracle = max_cycle_ratio_brute_force(g)
         assert res is not None and oracle is not None
         assert res.ratio == pytest.approx(oracle.ratio, rel=1e-9)
-
-
-def _unit_token_graph(a: np.ndarray) -> TokenGraph:
-    """The precedence graph of a (max,+) matrix, one token per arc."""
-    g = TokenGraph(a.shape[0])
-    for i, j in zip(*np.nonzero(np.isfinite(a))):
-        g.add_arc(int(i), int(j), weight=float(a[i, j]), tokens=1)
-    return g
-
-
-class TestKarp:
-    """Karp's maximum-mean-cycle problem, solved as the (max,+) eigenvalue."""
-
-    def test_max_mean_cycle(self):
-        a = np.full((3, 3), NEG_INF)
-        a[0, 1], a[1, 0] = 2.0, 4.0  # mean 3
-        a[2, 2] = 5.0  # mean 5
-        a[1, 2], a[2, 0] = 1.0, 1.0  # 0 -> 1 -> 2 -> 0: mean 4/3
-        value = MaxPlusMatrix(a).eigenvalue()
-        assert value == pytest.approx(5.0)
-        assert value == max_cycle_ratio_brute_force(_unit_token_graph(a)).ratio
-
-    def test_agrees_with_ratio_solver_on_unit_tokens(self):
-        for seed in range(10):
-            r = np.random.default_rng(100 + seed)
-            n = int(r.integers(2, 6))
-            a = np.full((n, n), NEG_INF)
-            perm = r.permutation(n)
-            for i in range(n):
-                a[perm[i], perm[(i + 1) % n]] = r.uniform(0, 5)
-            for _ in range(n):
-                u, v = r.integers(n, size=2)
-                a[u, v] = max(a[u, v], r.uniform(0, 5))
-            oracle = max_cycle_ratio_brute_force(_unit_token_graph(a))
-            # Both compute one cycle's mean, summing its arcs in their own
-            # order: they agree up to rounding.
-            assert MaxPlusMatrix(a).eigenvalue() == pytest.approx(
-                oracle.ratio, rel=1e-9
-            )
-
-    def test_acyclic_raises(self):
-        """A single node without a self-loop is irreducible but acyclic."""
-        with pytest.raises(StructuralError):
-            MaxPlusMatrix(np.full((1, 1), NEG_INF)).eigenvalue()

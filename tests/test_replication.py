@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.evaluate import evaluate, get_solver
+from repro.experiments.fig10 import paper_system
 from repro.mapping.examples import single_communication, uniform_chain
 from repro.sim import (
     ReplicationSpec,
@@ -119,17 +120,25 @@ class TestReplicationValues:
     @pytest.mark.parametrize("model", ["overlap", "strict"])
     @pytest.mark.parametrize("estimator", ["total", "steady"])
     def test_engines_byte_identical(self, model, estimator):
-        spec = ReplicationSpec(
-            _paper_like(), model, n_datasets=60, law="exponential"
-        )
-        loop = replication_values(
-            spec, n_replications=9, seed=3, estimator=estimator, engine="loop"
-        )
-        vec = replication_values(
-            spec, n_replications=9, seed=3, estimator=estimator,
-            engine="vectorized",
-        )
-        assert loop.tobytes() == vec.tobytes()
+        studies = [
+            (ReplicationSpec(
+                _paper_like(), model, n_datasets=60, law="exponential"
+            ), 9, 3),
+            # The real Fig. 10 system at 32 replications of 200 data sets.
+            (ReplicationSpec(
+                paper_system(), model, n_datasets=200, law="exponential"
+            ), 32, 11),
+        ]
+        for spec, n_replications, seed in studies:
+            loop = replication_values(
+                spec, n_replications=n_replications, seed=seed,
+                estimator=estimator, engine="loop",
+            )
+            vec = replication_values(
+                spec, n_replications=n_replications, seed=seed,
+                estimator=estimator, engine="vectorized",
+            )
+            assert loop.tobytes() == vec.tobytes()
 
     def test_auto_prefers_vectorized_for_spec(self):
         spec = ReplicationSpec(
@@ -155,13 +164,24 @@ class TestReplicationValues:
 
 class TestReplicateEngines:
     def test_summary_identical_across_engines(self):
-        spec = ReplicationSpec(
-            _paper_like(), "overlap", n_datasets=80, law="exponential"
-        )
-        loop = replicate(spec, n_replications=12, seed=4, engine="loop")
-        vec = replicate(spec, n_replications=12, seed=4, engine="vectorized")
-        auto = replicate(spec, n_replications=12, seed=4)
-        assert loop == vec == auto
+        studies = [
+            (_paper_like(), 80, 12, 4),
+            # The real Fig. 10 system at 32 replications of 200 data sets.
+            (paper_system(), 200, 32, 11),
+        ]
+        for mapping, n_datasets, n_replications, seed in studies:
+            spec = ReplicationSpec(
+                mapping, "overlap", n_datasets=n_datasets, law="exponential"
+            )
+            loop = replicate(
+                spec, n_replications=n_replications, seed=seed, engine="loop"
+            )
+            vec = replicate(
+                spec, n_replications=n_replications, seed=seed,
+                engine="vectorized",
+            )
+            auto = replicate(spec, n_replications=n_replications, seed=seed)
+            assert loop == vec == auto
 
     def test_callable_still_works_via_auto(self):
         mp = single_communication(2, 3)
