@@ -57,7 +57,22 @@ class TestBenchGuard:
             main(["bench", "--quick", "--output", str(target)])
         assert exc.value.code == 2
 
-    def test_output_dash_streams_the_report_and_writes_nothing(
+    def test_output_dash_streams_pure_json_and_writes_no_file(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(
+            ["bench", "--quick", "--repeats", "1", "--output", "-"]
+        ) == 0
+        report = json.loads(capsys.readouterr().out)  # pure JSON
+        assert list(tmp_path.iterdir()) == []  # nothing touched disk
+        assert report["meta"]["quick"] is True
+        heal = report["engines"]["service.selfheal"]
+        assert heal["values_identical_to_clean"] is True
+        assert heal["no_lost_or_duplicated_units"] is True
+        assert heal["respawns"] == heal["kills"] >= 1
+
+    def test_output_dash_bypasses_overwrite_guard(
         self, tmp_path, monkeypatch, capsys
     ):
         # '-' is a stream, not a path: an existing file named '-' must
@@ -67,13 +82,9 @@ class TestBenchGuard:
         assert main(
             ["bench", "--quick", "--repeats", "1", "--output", "-"]
         ) == 0
-        report = json.loads(capsys.readouterr().out)  # pure JSON
+        json.loads(capsys.readouterr().out)  # pure JSON
         assert [p.name for p in tmp_path.iterdir()] == ["-"]
         assert (tmp_path / "-").read_text() == "sentinel"
-        heal = report["engines"]["service.selfheal"]
-        assert heal["values_identical_to_clean"] is True
-        assert heal["no_lost_or_duplicated_units"] is True
-        assert heal["respawns"] == heal["kills"] >= 1
 
 
 class TestParseFleetFaults:
