@@ -118,11 +118,7 @@ def run_benchmarks(
         recoveries: list[float] = []
         batches = 0
         victim = 1
-        with local_fleet(
-            4,
-            strategy="fingerprint_affinity",
-            breaker_cooldown_s=0.05,
-        ) as fleet:
+        with local_fleet(4, breaker_cooldown_s=0.05) as fleet:
             supervisor = fleet.make_supervisor(
                 check_interval=0.02, max_restarts=1000,
             )

@@ -203,7 +203,6 @@ def _orchestrator_server(args, catalog, *, retry, recorder):
 
     return OrchestratorServer(
         catalog,
-        strategy=args.strategy,
         host=args.host,
         port=args.port,
         retry=retry,
@@ -219,7 +218,6 @@ def _announce_orchestrator(args, server) -> None:
     if args.ready_file:
         server.write_ready_file(args.ready_file)
     print(f"serving    : {host}:{port} (orchestrator)")
-    print(f"strategy   : {args.strategy}")
     print("workers    : " + ", ".join(
         f"{w.name}={w.endpoint}" for w in server.catalog.workers()
     ))
@@ -496,8 +494,7 @@ def _cmd_fleet(args, parser) -> int:
                         process=procs[index],
                     )
                     catalog.register(
-                        worker_host, worker_port,
-                        name=f"w{index}", capacity=args.capacity,
+                        worker_host, worker_port, name=f"w{index}"
                     )
             except ServiceError as exc:
                 print(f"fleet startup failed: {exc}", file=sys.stderr)
@@ -755,6 +752,8 @@ def _cmd_stats(args, parser) -> int:
         parser.error("--interval must be > 0")
     if args.count is not None and args.count < 1:
         parser.error("--count must be >= 1")
+    if args.count is not None and not args.watch:
+        parser.error("--count requires --watch")
     rounds = (args.count or (2 ** 31)) if args.watch else 1
     for round_index in range(rounds):
         if round_index:
@@ -1517,8 +1516,6 @@ def main(argv: list[str] | None = None) -> int:
         "at WARNING (default: off; requires --recorder)",
     )
 
-    from repro.service.routing import available_strategies
-
     servep.add_argument(
         "--role", choices=("worker", "orchestrator"), default="worker",
         help="worker: evaluate requests in this process (the default); "
@@ -1529,15 +1526,6 @@ def main(argv: list[str] | None = None) -> int:
         help="comma-separated worker endpoints for --role orchestrator",
     )
     fleet_tuning = [
-        (
-            "--strategy",
-            dict(
-                choices=available_strategies(),
-                default="fingerprint_affinity",
-                help="how the orchestrator routes requests to workers "
-                "(default: %(default)s)",
-            ),
-        ),
         (
             "--ping-interval",
             dict(
@@ -1592,10 +1580,13 @@ def main(argv: list[str] | None = None) -> int:
             "  worker-level (applied to every spawned 'serve' daemon):\n"
             "    --worker-n-jobs, --max-entries, --cache-dir, --capacity,\n"
             "    --max-pool-restarts, --slow-threshold, --faults\n"
-            "  orchestrator-level (routing, liveness and repair policy):\n"
-            "    --strategy, --ping-interval, --max-worker-failures,\n"
-            "    --breaker-cooldown, --max-unit-attempts, --supervise,\n"
-            "    --max-worker-restarts, --supervisor-interval\n"
+            "  orchestrator-level (liveness and repair policy):\n"
+            "    --ping-interval, --max-worker-failures, --breaker-cooldown,\n"
+            "    --max-unit-attempts, --supervise, --max-worker-restarts,\n"
+            "    --supervisor-interval\n"
+            "  the orchestrator places each task on the worker its structure\n"
+            "  fingerprint ranks first (rendezvous hashing), so repeats of a\n"
+            "  structure find that worker's caches warm.\n"
             "  --faults takes one spec for every worker ('drop:1') or\n"
             "  per-index clauses ('0=crash:1;2=hang:1:5'); --supervise\n"
             "  respawns dead workers on their registered ports (bounded\n"

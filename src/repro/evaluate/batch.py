@@ -169,8 +169,6 @@ def evaluate_many(
     if cache is None:
         cache = StructureCache()
     tasks: list[Task] = [(s, mapping, model) for mapping in mappings]
-    if not cache.enabled:
-        return _run_uncached(tasks, cache, n_jobs, pool=pool)
     return _evaluate_batch(tasks, cache, n_jobs, pool=pool)
 
 
@@ -232,10 +230,7 @@ def evaluate_tasks(
         raise ValueError("n_jobs must be >= 1")
     if cache is None:
         cache = StructureCache()
-    if not cache.enabled:
-        values = _run_uncached(norm, cache, n_jobs, pool=pool, record=record)
-    else:
-        values = _evaluate_batch(norm, cache, n_jobs, pool=pool, record=record)
+    values = _evaluate_batch(norm, cache, n_jobs, pool=pool, record=record)
     if not pre:
         return values
     healthy = iter(values)
@@ -248,36 +243,6 @@ def _task_options_key(memo: dict[int, tuple], solver: ThroughputSolver) -> tuple
     if key is None:
         key = memo[id(solver)] = _options_key(solver)
     return key
-
-
-def _run_uncached(
-    tasks: list[Task],
-    cache: StructureCache,
-    n_jobs: int,
-    pool: ProcessPoolExecutor | None = None,
-    record: bool = False,
-) -> list[float | TaskFailure]:
-    """Disabled-cache semantics: every request evaluated independently.
-
-    This is the pre-refactor cost model (no dedup, no memo); the
-    disabled cache still counts misses.
-    """
-    values = _run_tasks(tasks, n_jobs, pool=pool, record=record)
-    opts_keys: dict[int, tuple] = {}
-    out: list[float | TaskFailure] = []
-    for (s, mapping, model), value in zip(tasks, values):
-        if isinstance(value, TaskFailure):
-            out.append(value)
-            continue
-        out.append(
-            cache.store(
-                cache.score_key(
-                    mapping, model, s.name, _task_options_key(opts_keys, s)
-                ),
-                value,
-            )
-        )
-    return out
 
 
 def _evaluate_batch(
@@ -396,8 +361,8 @@ def _run_tasks(
 
 
 def _warn_serial_fallback() -> None:
-    # stacklevel 5: this helper → _run_tasks → (_evaluate_batch |
-    # _run_uncached) → public API → its caller.
+    # stacklevel 5: this helper → _run_tasks → _evaluate_batch → public
+    # API → its caller.
     warnings.warn(
         "batched evaluation: a solver or mapping is not picklable; "
         "falling back to serial evaluation",

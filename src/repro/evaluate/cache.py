@@ -15,8 +15,7 @@ One :class:`StructureCache` instance memoizes, across any number of
   of a hill climb) reuse one exploration and pay only the CTMC solve.
 
 The cache is a plain in-process object: share one instance to share
-work, pass ``StructureCache(enabled=False)`` to measure the uncached
-cost.
+work.
 
 A long-lived holder — the :mod:`repro.service` daemon keeps one cache
 for its whole lifetime — can bound memory with ``max_entries``: each of
@@ -44,12 +43,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class StructureCache:
     """Score memo + structural artefact cache for the solver registry."""
 
-    def __init__(
-        self, *, enabled: bool = True, max_entries: int | None = None
-    ) -> None:
+    def __init__(self, *, max_entries: int | None = None) -> None:
         if max_entries is not None and max_entries < 1:
             raise ValueError("max_entries must be >= 1 (or None for unbounded)")
-        self.enabled = enabled
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
@@ -89,7 +85,7 @@ class StructureCache:
     def lookup(self, key: tuple) -> float | None:
         """Memoized score for ``key``; counts the hit when present."""
         with profile_span("cache_lookup"):
-            if self.enabled and key in self._scores:
+            if key in self._scores:
                 self.hits += 1
                 self._touch(self._scores, key)
                 return self._scores[key]
@@ -98,8 +94,7 @@ class StructureCache:
     def store(self, key: tuple, value: float) -> float:
         """Record a freshly computed score (counts the miss)."""
         self.misses += 1
-        if self.enabled:
-            self._insert(self._scores, key, value)
+        self._insert(self._scores, key, value)
         return value
 
     def score(self, key: tuple, compute: Callable[[], float]) -> float:
@@ -119,8 +114,6 @@ class StructureCache:
         **builder_options,
     ) -> "TimedEventGraph":
         """Built (and kernel-cached) net for a timing fingerprint."""
-        if not self.enabled:
-            return build()
         key = (
             mapping_fingerprint(mapping, model),
             tuple(sorted(builder_options.items())),
@@ -149,8 +142,6 @@ class StructureCache:
         can never mask the :class:`StateSpaceLimitError` a stricter limit
         would have raised.
         """
-        if not self.enabled:
-            return explore()
         key = (
             structure_fingerprint(mapping, model, **builder_options),
             max_states,
@@ -188,6 +179,5 @@ class StructureCache:
         return (
             f"StructureCache(requests={s['requests']}, hits={s['hits']}, "
             f"misses={s['misses']}, evictions={s['evictions']}, "
-            f"nets={s['nets']}, reach={s['reachability']}, "
-            f"enabled={self.enabled})"
+            f"nets={s['nets']}, reach={s['reachability']})"
         )

@@ -31,15 +31,15 @@ over a loopback socket:
   :mod:`repro.service.orchestrator` / :mod:`repro.service.fleet` — the
   fleet tier: a worker registry with per-worker circuit breakers
   (closed → open → half-open, escalating cooldowns, probation after
-  recovery), a routing strategy registry (``round_robin`` /
-  ``worst_fit`` / ``fingerprint_affinity`` rendezvous hashing), an
-  orchestrator speaking the *same* protocol that shards batches across
-  workers, fails over when one dies mid-request, quarantines poison
-  units after they fail on distinct workers, and aggregates fleet
-  statistics, plus a :class:`FleetSupervisor` that respawns dead
-  worker processes (bounded budget, exponential backoff) and
-  re-announces them for a half-open probe — behind ``repro.cli serve
-  --role orchestrator`` and ``repro.cli fleet --supervise``.
+  recovery), rendezvous (HRW) placement of each task on the worker
+  ranked first for its structure fingerprint, an orchestrator speaking
+  the *same* protocol that shards batches across workers, fails over
+  when one dies mid-request, quarantines poison units after they fail
+  on distinct workers, and aggregates fleet statistics, plus a
+  :class:`FleetSupervisor` that respawns dead worker processes
+  (bounded budget, exponential backoff) and re-announces them for a
+  half-open probe — behind ``repro.cli serve --role orchestrator`` and
+  ``repro.cli fleet --supervise``.
 
 Observability (see :mod:`repro.telemetry`): every frame may carry a
 ``request_id`` trace token (minted by :class:`ServiceClient`, forwarded
@@ -73,12 +73,7 @@ from repro.service.protocol import (
     publish_ready_file,
 )
 from repro.service.queue import CoalescingQueue
-from repro.service.routing import (
-    available_strategies,
-    make_strategy,
-    register_strategy,
-    task_routing_key,
-)
+from repro.service.routing import task_routing_key
 from repro.service.server import ServiceServer, serve_in_thread
 from repro.service.workers import EvaluationEngine, normalize_task
 
@@ -97,14 +92,11 @@ __all__ = [
     "ServiceServer",
     "WorkerCatalog",
     "WorkerInfo",
-    "available_strategies",
     "local_fleet",
-    "make_strategy",
     "normalize_task",
     "parse_endpoint",
     "parse_endpoints",
     "publish_ready_file",
-    "register_strategy",
     "score_digest",
     "serve_in_thread",
     "serve_orchestrator_in_thread",

@@ -1,10 +1,9 @@
 """Worker catalog: the orchestrator's registry of evaluation daemons.
 
 A :class:`WorkerCatalog` tracks every worker the fleet knows about —
-endpoint, optional capacity hint, orchestrator-side in-flight depth,
-breaker state and failure history — behind one lock, so routing
-strategies can rank a consistent snapshot while request handler threads
-update the counters concurrently.
+endpoint, orchestrator-side in-flight depth, breaker state and failure
+history — behind one lock, so the router ranks a consistent snapshot
+while request handler threads update the counters concurrently.
 
 Liveness is observational, not configured, and runs through a
 per-worker **circuit breaker** rather than a binary evict/revive bit:
@@ -28,10 +27,10 @@ gets ``max_consecutive_failures`` victims per recovery; under
 probation it gets one.
 
 Workers get stable names (``w0``, ``w1``, …) at registration. The
-rendezvous-hash routing strategy keys on those names rather than on
-endpoints, so a worker that the supervisor respawns on a new ephemeral
-port keeps its shard: re-``register``-ing a known name on a new
-endpoint updates the entry in place, preserving its traffic counters.
+rendezvous-hash routing keys on those names rather than on endpoints,
+so a worker that the supervisor respawns on a new ephemeral port keeps
+its shard: re-``register``-ing a known name on a new endpoint updates
+the entry in place, preserving its traffic counters.
 """
 
 from __future__ import annotations
@@ -68,9 +67,6 @@ class WorkerInfo:
     name: str
     host: str
     port: int
-    capacity: int | None = None
-    #: In the routing rotation (False exactly while the breaker is open).
-    live: bool = True
     #: Requests the orchestrator currently has outstanding to this worker.
     in_flight: int = 0
     #: Requests (including per-shard sub-batches) forwarded to this worker.
@@ -99,12 +95,16 @@ class WorkerInfo:
     def endpoint(self) -> str:
         return f"{self.host}:{self.port}"
 
+    @property
+    def live(self) -> bool:
+        """In the routing rotation: every breaker state but ``open``."""
+        return self.breaker_state != BREAKER_OPEN
+
     def stats(self) -> dict:
         """The per-worker row of the orchestrator's ``stats`` reply."""
         return {
             "name": self.name,
             "endpoint": self.endpoint,
-            "capacity": self.capacity,
             "live": self.live,
             "in_flight": self.in_flight,
             "routed": self.routed,
@@ -164,7 +164,6 @@ class WorkerCatalog:
         port: int,
         *,
         name: str | None = None,
-        capacity: int | None = None,
     ) -> WorkerInfo:
         """Add a worker; auto-names it ``w<k>`` when ``name`` is omitted.
 
@@ -203,11 +202,9 @@ class WorkerCatalog:
             if existing is not None:
                 existing.host = host
                 existing.port = port
-                if capacity is not None:
-                    existing.capacity = capacity
                 self._reset_breaker(existing)
                 return existing
-            worker = WorkerInfo(name=name, host=host, port=port, capacity=capacity)
+            worker = WorkerInfo(name=name, host=host, port=port)
             self._workers[name] = worker
             return worker
 
@@ -237,7 +234,6 @@ class WorkerCatalog:
             worker.port = port
             worker.consecutive_failures = 0
             worker.breaker_state = BREAKER_OPEN
-            worker.live = False
             worker.trial_in_flight = False
             worker.probation = 0
             worker.cooldown_until = self.clock()
@@ -280,7 +276,6 @@ class WorkerCatalog:
                     w.breaker_state = BREAKER_HALF_OPEN
                     w.trial_in_flight = False
                     w.half_open_transitions += 1
-                    w.live = True
                 if w.breaker_state == BREAKER_CLOSED:
                     candidates.append(w)
                 elif w.breaker_state == BREAKER_HALF_OPEN and not w.trial_in_flight:
@@ -331,7 +326,6 @@ class WorkerCatalog:
             if worker.breaker_state != BREAKER_CLOSED:
                 worker.breaker_state = BREAKER_CLOSED
                 worker.trial_in_flight = False
-                worker.live = True
                 worker.probation = self.max_consecutive_failures
             elif worker.probation > 0:
                 worker.probation -= 1
@@ -374,7 +368,6 @@ class WorkerCatalog:
     # ------------------------------------------------------------------
     def _trip(self, worker: WorkerInfo) -> None:
         worker.breaker_state = BREAKER_OPEN
-        worker.live = False
         worker.trial_in_flight = False
         worker.probation = 0
         worker.evictions += 1
@@ -388,7 +381,6 @@ class WorkerCatalog:
 
     def _reset_breaker(self, worker: WorkerInfo) -> None:
         worker.breaker_state = BREAKER_CLOSED
-        worker.live = True
         worker.consecutive_failures = 0
         worker.cooldown_until = 0.0
         worker.open_streak = 0

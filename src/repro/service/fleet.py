@@ -46,7 +46,6 @@ from repro.service.orchestrator import (
     serve_orchestrator_in_thread,
 )
 from repro.service.protocol import DEFAULT_HOST
-from repro.service.routing import RoutingStrategy
 from repro.service.server import ServiceServer
 from repro.service.workers import EvaluationEngine
 from repro.telemetry import FlightRecorder, get_logger
@@ -449,7 +448,6 @@ class LocalFleet:
 def local_fleet(
     n_workers: int,
     *,
-    strategy: str | RoutingStrategy = "fingerprint_affinity",
     max_entries: int | None = None,
     n_jobs: int = 1,
     capacity: int | None = None,
@@ -496,14 +494,13 @@ def local_fleet(
                 recorder_file=f"w{index}.jsonl",
             )
             host, port = worker.endpoint
-            catalog.register(host, port, name=worker.name, capacity=capacity)
+            catalog.register(host, port, name=worker.name)
             workers.append(worker)
         orchestrator_kwargs: dict = {}
         if max_unit_attempts is not None:
             orchestrator_kwargs["max_unit_attempts"] = max_unit_attempts
         orchestrator, orch_thread = serve_orchestrator_in_thread(
             catalog,
-            strategy=strategy,
             retry=retry,
             request_timeout=request_timeout,
             connect_timeout=connect_timeout,

@@ -6,13 +6,13 @@ and speaks the same protocol, so every existing client — ``repro.cli
 submit``, ``campaign run --via-service``, a bare socket — can point at
 an orchestrator instead of a worker without changing a byte of what it
 sends. The orchestrator owns no evaluation engine; it owns a
-:class:`~repro.service.catalog.WorkerCatalog` and a :mod:`routing
-strategy <repro.service.routing>`, and turns every work request into
-forwarded requests against the fleet:
+:class:`~repro.service.catalog.WorkerCatalog`, places work by
+:mod:`rendezvous affinity <repro.service.routing>`, and turns every
+work request into forwarded requests against the fleet:
 
 * ``evaluate`` / ``solve`` / ``search`` — routed whole to the
-  strategy's first-choice worker for the request's routing key, failing
-  over down the ranking when a worker dies mid-request;
+  first-ranked worker for the request's routing key, failing over down
+  the ranking when a worker dies mid-request;
 * ``batch`` — split into per-worker sub-batches (each task routed by
   its structure fingerprint), dispatched concurrently, and merged back
   into one reply in the original request order; a worker lost mid-batch
@@ -52,7 +52,7 @@ from repro.service.catalog import WorkerCatalog, WorkerInfo
 from repro.service.client import RetryPolicy, ServiceClient
 from repro.service.host import ServiceHost, solve_task
 from repro.service.protocol import DEFAULT_HOST, DEFAULT_PORT
-from repro.service.routing import RoutingStrategy, make_strategy, task_routing_key
+from repro.service.routing import STRATEGY, rank, task_routing_key
 from repro.telemetry import (
     FlightRecorder,
     MetricsRegistry,
@@ -160,7 +160,6 @@ class OrchestratorServer(ServiceHost):
         self,
         catalog: WorkerCatalog,
         *,
-        strategy: str | RoutingStrategy = "fingerprint_affinity",
         host: str = DEFAULT_HOST,
         port: int = DEFAULT_PORT,
         retry: RetryPolicy | None = None,
@@ -179,9 +178,6 @@ class OrchestratorServer(ServiceHost):
                 f"max_unit_attempts must be >= 1, got {max_unit_attempts}"
             )
         self.catalog = catalog
-        self.strategy: RoutingStrategy = (
-            make_strategy(strategy) if isinstance(strategy, str) else strategy
-        )
         #: Backoff between full failover sweeps (``None`` = one sweep).
         self.retry = retry
         self.ping_interval = ping_interval
@@ -273,8 +269,8 @@ class OrchestratorServer(ServiceHost):
             "repro_orchestrator_shard_seconds", "per-shard dispatch latency"
         )
         log.info(
-            "orchestrator serving on %s:%d (strategy=%s, workers=%d)",
-            *self.endpoint, self.strategy.name, len(self.catalog),
+            "orchestrator serving on %s:%d (workers=%d)",
+            *self.endpoint, len(self.catalog),
         )
         if ping_interval is not None:
             self._ping_thread = threading.Thread(
@@ -351,7 +347,7 @@ class OrchestratorServer(ServiceHost):
     def forward(self, payload: dict, key: str, hops: list | None = None) -> dict:
         """Route one whole request; fail over down the ranking.
 
-        Within a sweep every live candidate is tried once in strategy
+        Within a sweep every live candidate is tried once in ranking
         order. Transport failures mark the worker (eviction after its
         streak fills) and move on; shed requests skip the worker without
         a mark. Between sweeps the retry policy backs off — honouring
@@ -366,7 +362,7 @@ class OrchestratorServer(ServiceHost):
                 raise ServiceUnavailable("no live workers in the fleet")
             last_transient: ServiceError | None = None
             overloaded: ServiceOverloaded | None = None
-            for worker in self.strategy.rank(key, workers):
+            for worker in rank(key, workers):
                 try:
                     reply = self._send(worker, payload)
                 except ServiceOverloaded as exc:
@@ -518,16 +514,15 @@ class OrchestratorServer(ServiceHost):
         reply :meth:`forward` gives an ``evaluate``.
         """
         t_route = self.clock()
+        # One snapshot serves the whole pass: ``begin`` sets a half-open
+        # worker's trial gate at send time, after routing.
+        live = self.catalog.live_workers()
+        if not live:
+            raise ServiceUnavailable("no live workers in the fleet")
+        candidates = [w for w in live if w.name not in excluded] or live
         shards: dict[str, tuple[WorkerInfo, list]] = {}
         for item in indexed:
-            workers = [
-                w for w in self.catalog.live_workers() if w.name not in excluded
-            ]
-            if not workers:
-                workers = self.catalog.live_workers()
-            if not workers:
-                raise ServiceUnavailable("no live workers in the fleet")
-            owner = self.strategy.rank(item[2], workers)[0]
+            owner = rank(item[2], candidates)[0]
             shards.setdefault(owner.name, (owner, []))[1].append(item)
         agg["shards"] += len(shards)
         if tele is not None:
@@ -751,7 +746,7 @@ class OrchestratorServer(ServiceHost):
             "ping",
             uptime_s=self.uptime_s,
             in_flight=self.in_flight,
-            strategy=self.strategy.name,
+            strategy=STRATEGY,
             workers={
                 "total": len(self.catalog),
                 "live": len(self.catalog.live_workers()),
@@ -809,7 +804,7 @@ class OrchestratorServer(ServiceHost):
             uptime_s=self.uptime_s,
             in_flight=self.in_flight,
             stopping=self.stopping,
-            strategy=self.strategy.name,
+            strategy=STRATEGY,
             orchestrator=local,
             workers=rows,
             workers_reporting=reporting,

@@ -1,29 +1,19 @@
-"""Routing strategies: which worker serves which request.
+"""Placement: which worker serves which request.
 
-A registry mirroring the solver registry (``register_strategy`` /
-``make_strategy`` / ``available_strategies``). A strategy ranks the
-live workers for one routing key; the orchestrator forwards to the
-first candidate and *fails over* down the rest of the ranking when a
-worker dies mid-request, so the ranking doubles as the failover order.
+The orchestrator places work by rendezvous (highest-random-weight)
+hashing of a routing key against each worker's stable name (Thaler &
+Ravishankar, "Using name-based mappings to increase hit rates",
+IEEE/ACM ToN 1998). :func:`rank` orders the live workers for one key;
+the orchestrator forwards to the first and *fails over* down the rest
+of the ranking when a worker dies mid-request, so the ranking doubles
+as the failover order.
 
-Built-in strategies:
-
-* ``round_robin`` — rotate through the live workers, one step per
-  routed request; spreads any traffic evenly but scatters repeats of
-  the same computation across the whole fleet (every worker pays its
-  own cold cache misses);
-* ``worst_fit`` — emptiest bin first: least orchestrator-side queue
-  depth wins, ties broken by worker name so the ranking is
-  deterministic (storage-allocation vocabulary: the *worst* fit is the
-  most free capacity);
-* ``fingerprint_affinity`` — rendezvous (highest-random-weight)
-  hashing of the routing key against each worker's stable name. The
-  same key always ranks the workers identically, so identical-topology
-  requests land on the same worker and its
-  :class:`~repro.evaluate.cache.StructureCache` /
-  :class:`~repro.service.diskcache.DiskScoreCache` stay hot for that
-  shard; when a worker is evicted, only the keys it owned move (to
-  their second-ranked worker) — every other key keeps its owner.
+The same key always ranks the workers identically, so identical-topology
+requests land on the same worker and its
+:class:`~repro.evaluate.cache.StructureCache` /
+:class:`~repro.service.diskcache.DiskScoreCache` stay hot for that
+shard; when a worker is evicted, only the keys it owned move (to their
+second-ranked worker) — every other key keeps its owner.
 
 The routing key of a task is its canonical *structure fingerprint*
 (:func:`task_routing_key`): topology up to firing times. Same timing
@@ -34,123 +24,37 @@ the score memo and the shared reachability explorations hot.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
-import threading
 from collections.abc import Sequence
-from typing import Protocol
 
-from repro.exceptions import ServiceError
 from repro.service.catalog import WorkerInfo
 
-
-class RoutingStrategy(Protocol):
-    """What the orchestrator needs from a strategy."""
-
-    name: str
-
-    def rank(
-        self, key: str, workers: Sequence[WorkerInfo]
-    ) -> list[WorkerInfo]:
-        """Workers ordered best-first for ``key`` (the failover order)."""
-        ...  # pragma: no cover - protocol
+#: The placement named in the orchestrator's ``ping`` and ``stats`` replies.
+STRATEGY = "fingerprint_affinity"
 
 
-_STRATEGIES: dict[str, type] = {}
+def _weight(key: str, name: str) -> int:
+    payload = f"{key}|{name}".encode()
+    return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "big")
 
 
-def register_strategy(name: str):
-    """Class decorator adding a routing strategy under ``name``."""
-
-    def decorate(cls):
-        cls.name = name
-        _STRATEGIES[name] = cls
-        return cls
-
-    return decorate
-
-
-def available_strategies() -> tuple[str, ...]:
-    """Registered strategy names, sorted."""
-    return tuple(sorted(_STRATEGIES))
-
-
-def make_strategy(name: str, **options) -> RoutingStrategy:
-    """Instantiate the strategy registered under ``name``.
-
-    Unknown names and unsupported options raise :class:`ServiceError`
-    with the available choices — the registry mirrors
-    :func:`repro.evaluate.solvers.get_solver`.
-    """
-    try:
-        cls = _STRATEGIES[name]
-    except KeyError:
-        raise ServiceError(
-            f"unknown routing strategy {name!r}; available: "
-            f"{', '.join(available_strategies())}"
-        ) from None
-    try:
-        return cls(**options)
-    except TypeError as exc:
-        raise ServiceError(
-            f"cannot configure routing strategy {name!r} "
-            f"with options {options!r}: {exc}"
-        ) from None
-
-
-@register_strategy("round_robin")
-class RoundRobinStrategy:
-    """Rotate through the live workers, one step per routed request."""
-
-    def __init__(self) -> None:
-        self._counter = itertools.count()
-        self._lock = threading.Lock()
-
-    def rank(self, key: str, workers: Sequence[WorkerInfo]) -> list[WorkerInfo]:
-        workers = list(workers)
-        if not workers:
-            return []
-        with self._lock:
-            start = next(self._counter) % len(workers)
-        return workers[start:] + workers[:start]
-
-
-@register_strategy("worst_fit")
-class WorstFitStrategy:
-    """Emptiest bin first: least queue depth, worker name as tie-break."""
-
-    def rank(self, key: str, workers: Sequence[WorkerInfo]) -> list[WorkerInfo]:
-        return sorted(workers, key=lambda w: (w.in_flight, w.name))
-
-
-@register_strategy("fingerprint_affinity")
-class FingerprintAffinityStrategy:
-    """Rendezvous (HRW) hashing of the routing key against worker names.
+def rank(key: str, workers: Sequence[WorkerInfo]) -> list[WorkerInfo]:
+    """Workers ordered best-first for ``key`` (the failover order).
 
     Every ``(key, worker)`` pair gets an independent pseudo-random
-    weight; the ranking sorts workers by weight, descending. Properties
-    the fleet relies on (asserted in ``tests/test_fleet.py``):
+    weight; the ranking sorts workers by weight, descending, with the
+    name as tie-break. Properties the fleet relies on (asserted in
+    ``tests/test_fleet.py``):
 
     * deterministic — the same key produces the same ranking on every
-      orchestrator, every run;
+      orchestrator, every run, whatever order ``workers`` comes in;
     * minimal disruption — evicting a worker moves exactly the keys it
       owned (each to its second choice); adding one steals ~1/N of the
       keys and touches nothing else.
     """
-
-    @staticmethod
-    def _weight(key: str, worker_name: str) -> int:
-        payload = f"{key}|{worker_name}".encode()
-        return int.from_bytes(
-            hashlib.blake2b(payload, digest_size=8).digest(), "big"
-        )
-
-    def rank(self, key: str, workers: Sequence[WorkerInfo]) -> list[WorkerInfo]:
-        return sorted(
-            workers,
-            key=lambda w: (self._weight(key, w.name), w.name),
-            reverse=True,
-        )
+    return sorted(
+        workers, key=lambda w: (_weight(key, w.name), w.name), reverse=True
+    )
 
 
 def task_routing_key(task: object, model_default: str = "overlap") -> str:

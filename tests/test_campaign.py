@@ -662,17 +662,6 @@ class TestEvaluateTasks:
         assert cache.misses == 1
         assert cache.hits == 2
 
-    def test_disabled_cache_evaluates_independently(self):
-        # Mirrors evaluate_many's uncached cost model: no dedup, no memo.
-        mp = single_communication(2, 2)
-        cache = StructureCache(enabled=False)
-        values = evaluate_tasks(
-            [("deterministic", mp, "overlap")] * 3, cache=cache
-        )
-        assert len(set(values)) == 1
-        assert cache.misses == 3
-        assert cache.hits == 0
-
     def test_parallel_bit_identical(self):
         mappings = [single_communication(u, 2) for u in (2, 3, 4, 5)]
         tasks = [

@@ -205,12 +205,6 @@ class TestEvaluateMany:
         assert first == again
         assert cache.stats()["hits"] == 1
 
-    def test_disabled_cache_reevaluates(self):
-        mp = make_mapping([[0], [1, 2]], seed=2)
-        cache = StructureCache(enabled=False)
-        evaluate_many([mp, mp], solver="deterministic", cache=cache)
-        assert cache.misses == 2 and cache.hits == 0
-
     def test_solver_options_partition_the_memo(self):
         mp = make_mapping([[0], [1, 2]], seed=5)
         cache = StructureCache()

@@ -1,10 +1,9 @@
 """Tests for the fleet tier (`repro.service` orchestrator + routing).
 
 Covers the endpoint-list parsing, the worker catalog's liveness
-bookkeeping, the routing-strategy registry (round_robin / worst_fit /
-fingerprint_affinity — including the rendezvous-hash minimal-disruption
-property: evicting a worker moves only the keys it owned), the
-orchestrator end-to-end over real sockets (request-order batch merging,
+bookkeeping, rendezvous-hash placement (deterministic, balanced, and
+minimally disruptive: evicting a worker moves only the keys it owned),
+the orchestrator end-to-end over real sockets (request-order batch merging,
 per-task failure re-indexing, fleet stats aggregation math), failover
 (a worker killed mid-campaign completes with zero lost or duplicated
 units and a byte-identical store), and the CLI surface
@@ -32,9 +31,7 @@ from repro.service import (
     RetryPolicy,
     ServiceClient,
     WorkerCatalog,
-    available_strategies,
     local_fleet,
-    make_strategy,
     parse_endpoints,
     task_routing_key,
 )
@@ -44,6 +41,7 @@ from repro.service.catalog import (
     BREAKER_OPEN,
     WorkerInfo,
 )
+from repro.service.routing import rank
 
 
 def pattern_task(u: int = 2, v: int = 2, *, solver: str = "deterministic",
@@ -132,10 +130,9 @@ class TestWorkerCatalog:
         catalog.record_failure("a", failover=True)
         # A known name announcing a new endpoint is a *respawn*: the
         # catalog moves it in place and keeps its traffic history.
-        info = catalog.register("h", 7001, name="a", capacity=4)
+        info = catalog.register("h", 7001, name="a")
         assert info is catalog.get("a")
         assert (info.host, info.port) == ("h", 7001)
-        assert info.capacity == 4
         assert info.routed == 1 and info.failovers == 1
         assert info.live and info.consecutive_failures == 0
         assert info.breaker_state == BREAKER_CLOSED
@@ -596,74 +593,24 @@ class TestSelfHealingAcceptance:
 
 
 # ----------------------------------------------------------------------
-# Routing strategies
+# Rendezvous placement
 # ----------------------------------------------------------------------
 def _workers(n: int) -> list[WorkerInfo]:
     return [WorkerInfo(name=f"w{i}", host="h", port=7000 + i) for i in range(n)]
 
 
-class TestRoutingRegistry:
-    def test_builtins_registered(self):
-        assert available_strategies() == (
-            "fingerprint_affinity", "round_robin", "worst_fit",
-        )
-
-    def test_unknown_name_lists_choices(self):
-        with pytest.raises(ServiceError, match="round_robin"):
-            make_strategy("best_fit")
-
-    def test_bad_options_raise_service_error(self):
-        with pytest.raises(ServiceError, match="cannot configure"):
-            make_strategy("round_robin", replicas=3)
-
-
-class TestRoundRobin:
-    def test_rotates_one_step_per_request(self):
-        strategy = make_strategy("round_robin")
-        workers = _workers(3)
-        first = [strategy.rank("k", workers)[0].name for _ in range(6)]
-        assert first == ["w0", "w1", "w2", "w0", "w1", "w2"]
-
-    def test_ranking_is_a_permutation(self):
-        strategy = make_strategy("round_robin")
-        workers = _workers(4)
-        ranked = strategy.rank("k", workers)
-        assert sorted(w.name for w in ranked) == ["w0", "w1", "w2", "w3"]
-
-    def test_empty_pool(self):
-        assert make_strategy("round_robin").rank("k", []) == []
-
-
-class TestWorstFit:
-    def test_least_depth_first(self):
-        workers = _workers(3)
-        workers[0].in_flight = 2
-        workers[1].in_flight = 0
-        workers[2].in_flight = 1
-        ranked = make_strategy("worst_fit").rank("k", workers)
-        assert [w.name for w in ranked] == ["w1", "w2", "w0"]
-
-    def test_ties_break_by_name(self):
-        workers = list(reversed(_workers(3)))  # presented w2, w1, w0
-        ranked = make_strategy("worst_fit").rank("k", workers)
-        assert [w.name for w in ranked] == ["w0", "w1", "w2"]
-
-
 class TestFingerprintAffinity:
     def test_deterministic_ranking(self):
-        strategy = make_strategy("fingerprint_affinity")
         workers = _workers(4)
         for key in ("a", "b", "c"):
-            r1 = [w.name for w in strategy.rank(key, workers)]
-            r2 = [w.name for w in make_strategy(
-                "fingerprint_affinity").rank(key, list(reversed(workers)))]
+            r1 = [w.name for w in rank(key, workers)]
+            r2 = [w.name for w in rank(key, list(reversed(workers)))]
             assert r1 == r2  # same key, same ranking, any presentation order
 
     def test_keys_spread_over_workers(self):
-        strategy = make_strategy("fingerprint_affinity")
         workers = _workers(4)
         owners = {
-            f"key{i}": strategy.rank(f"key{i}", workers)[0].name
+            f"key{i}": rank(f"key{i}", workers)[0].name
             for i in range(200)
         }
         counts = {name: 0 for name in ("w0", "w1", "w2", "w3")}
@@ -673,26 +620,24 @@ class TestFingerprintAffinity:
         assert all(count >= 20 for count in counts.values()), counts
 
     def test_eviction_moves_only_the_evicted_workers_keys(self):
-        strategy = make_strategy("fingerprint_affinity")
         workers = _workers(4)
         keys = [f"key{i}" for i in range(200)]
-        before = {k: strategy.rank(k, workers)[0].name for k in keys}
+        before = {k: rank(k, workers)[0].name for k in keys}
         survivors = [w for w in workers if w.name != "w2"]
-        after = {k: strategy.rank(k, survivors)[0].name for k in keys}
+        after = {k: rank(k, survivors)[0].name for k in keys}
         moved = [k for k in keys if before[k] != after[k]]
         # Exactly the evicted worker's keys move — nothing else.
         assert set(moved) == {k for k in keys if before[k] == "w2"}
         # ... and each lands on its second choice from the full ranking.
         for key in moved:
-            full = [w.name for w in strategy.rank(key, workers)]
+            full = [w.name for w in rank(key, workers)]
             assert after[key] == full[1]
 
     def test_rejoin_restores_original_owners(self):
-        strategy = make_strategy("fingerprint_affinity")
         workers = _workers(4)
         keys = [f"key{i}" for i in range(50)]
-        before = {k: strategy.rank(k, workers)[0].name for k in keys}
-        again = {k: strategy.rank(k, list(workers))[0].name for k in keys}
+        before = {k: rank(k, workers)[0].name for k in keys}
+        again = {k: rank(k, list(workers))[0].name for k in keys}
         assert before == again
 
 
@@ -759,7 +704,7 @@ class TestOrchestratorEndToEnd:
         assert all(values[i] is not None for i in (0, 2, 3))
 
     def test_stats_totals_equal_sum_of_worker_rows(self):
-        with local_fleet(3, strategy="round_robin") as fleet:
+        with local_fleet(3) as fleet:
             with fleet.client() as client:
                 client.evaluate_batch(distinct_tasks(6))
                 client.evaluate(pattern_task(3, 3))
@@ -777,30 +722,16 @@ class TestOrchestratorEndToEnd:
         assert stats["orchestrator"]["units"] == 7
         assert stats["orchestrator"]["batches"] == 1
 
-    def test_round_robin_spreads_traffic_over_all_workers(self):
-        with local_fleet(2, strategy="round_robin") as fleet:
-            with fleet.client() as client:
-                client.evaluate_batch(distinct_tasks(4))
-                stats = client.stats()
-        routed = {r["name"]: r["routed"] for r in stats["workers"]}
-        assert routed["w0"] > 0 and routed["w1"] > 0
-
-    def test_affinity_dedupes_repeats_where_round_robin_pays_twice(self):
+    def test_affinity_dedupes_repeats(self):
         task = pattern_task(2, 3)
-
-        def executed_after_two_evaluates(strategy: str) -> int:
-            with local_fleet(2, strategy=strategy) as fleet:
-                with fleet.client() as client:
-                    first = client.evaluate(task)
-                    second = client.evaluate(task)
-                    stats = client.stats()
-            assert first == second
-            return stats["totals"]["executed"]
-
+        with local_fleet(2) as fleet:
+            with fleet.client() as client:
+                first = client.evaluate(task)
+                second = client.evaluate(task)
+                stats = client.stats()
+        assert first == second
         # Affinity lands both on one worker: the second is a memo hit.
-        assert executed_after_two_evaluates("fingerprint_affinity") == 1
-        # Round robin alternates two workers: both pay the cold miss.
-        assert executed_after_two_evaluates("round_robin") == 2
+        assert stats["totals"]["executed"] == 1
 
     def test_ping_reports_fleet_summary(self):
         with local_fleet(2) as fleet:
@@ -898,7 +829,7 @@ class TestFailover:
         assert stats["totals"]["units"] >= len(tasks)  # retried shard re-ran
 
     def test_worker_evicted_after_consecutive_failures_then_excluded(self):
-        with local_fleet(2, strategy="round_robin", retry=RetryPolicy(
+        with local_fleet(2, retry=RetryPolicy(
             max_attempts=2, base_delay=0.01, max_delay=0.02, seed=0,
         )) as fleet:
             fleet.kill_worker("w0")
@@ -998,7 +929,7 @@ class TestKilledMidCampaign:
 @pytest.fixture
 def cli_fleet():
     """A 2-worker in-process fleet for CLI probes."""
-    with local_fleet(2, strategy="round_robin") as fleet:
+    with local_fleet(2) as fleet:
         yield fleet
 
 
@@ -1021,14 +952,6 @@ class TestFleetCli:
             ])
         assert exc.value.code == 2
 
-    def test_unknown_strategy_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            main([
-                "serve", "--role", "orchestrator", "--port", "0",
-                "--workers", "7781", "--strategy", "best_fit",
-            ])
-        assert exc.value.code == 2
-
     def test_fleet_rejects_bad_n_workers(self):
         with pytest.raises(SystemExit) as exc:
             main(["fleet", "--n-workers", "0", "--port", "0"])
@@ -1038,7 +961,7 @@ class TestFleetCli:
         host, port = cli_fleet.endpoint
         assert main(["ping", "--host", host, "--port", str(port)]) == 0
         out = capsys.readouterr().out
-        assert "role       : orchestrator (round_robin)" in out
+        assert "role       : orchestrator (fingerprint_affinity)" in out
         assert "workers    : 2/2 live" in out
 
     def test_ping_json_includes_fleet_fields(self, cli_fleet, capsys):
@@ -1057,7 +980,7 @@ class TestFleetCli:
         host, port = cli_fleet.endpoint
         assert main(["stats", "--host", host, "--port", str(port)]) == 0
         out = capsys.readouterr().out
-        assert "orchestrator: strategy=round_robin" in out
+        assert "orchestrator: strategy=fingerprint_affinity" in out
         assert "0 failovers, 0 quarantined" in out
         assert "fleet totals: 4 units, 4 executed" in out
         for column in ("worker", "endpoint", "breaker", "routed", "failov"):

@@ -12,10 +12,12 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    overlap_exponential_throughput,
     overlap_throughput,
     pattern_enabling_count,
     pattern_state_count,
     pattern_throughput_homogeneous,
+    tpn_exponential_throughput_scc,
 )
 from repro.core.pattern import CommPattern, build_pattern_tpn
 from repro.distributions import make_distribution
@@ -36,6 +38,10 @@ coprime_sides = st.tuples(
 replications = st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(
     lambda r: lcm_all(r) <= 24
 )
+
+short_replications = st.lists(
+    st.integers(1, 4), min_size=1, max_size=3
+).filter(lambda r: lcm_all(r) <= 12)
 
 
 @st.composite
@@ -70,12 +76,12 @@ def token_graphs(draw):
     return g
 
 
-def mapping_from_replication(reps: list[int]):
+def mapping_from_replication(reps: list[int], seed: int | None = None):
     teams, k = [], 0
     for r in reps:
         teams.append(list(range(k, k + r)))
         k += r
-    return make_mapping(teams)
+    return make_mapping(teams, seed=seed)
 
 
 # ----------------------------------------------------------------------
@@ -269,6 +275,25 @@ class TestTpnProperties:
         bot = overlap_throughput(mp, "exponential", semantics="bottleneck")
         assert exp <= det * (1 + 1e-9)
         assert bot <= exp * (1 + 1e-9)
+
+    @given(short_replications, st.integers(0, 2 ** 16))
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_overlap_decomposition_matches_unrolled_scc_chains(self, reps, seed):
+        """Theorems 3/4's decomposition equals the unrolled per-SCC CTMCs.
+
+        Both sides are exact: the decomposition solves the quotient
+        pattern's chain, the unrolled net the chain of its c-copy
+        component, so they differ only by LU round-off. ``rel=1e-9``
+        matches the hand-picked cross-checks in
+        ``test_core_exponential.py``.
+        """
+        mp = mapping_from_replication(reps, seed=seed)
+        scc = tpn_exponential_throughput_scc(
+            build_overlap_tpn(mp), max_states=400_000
+        )
+        assert scc == pytest.approx(
+            overlap_exponential_throughput(mp), rel=1e-9, abs=0
+        )
 
 
 # ----------------------------------------------------------------------

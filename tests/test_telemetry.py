@@ -690,6 +690,12 @@ class TestCliTelemetry:
         # in both the admission and structure-cache blocks of each).
         assert len(out.split("\n\n")) == 2
 
+    def test_stats_count_without_watch_exits_2(self):
+        # --count only bounds a --watch loop; alone it would be ignored.
+        with pytest.raises(SystemExit) as exc:
+            main(["stats", "--port", "1", "--count", "3"])
+        assert exc.value.code == 2
+
     def test_trace_renders_span_path(self, cli_worker, capsys):
         host, port, recorder_path = cli_worker
         with ServiceClient(host, port) as client:
