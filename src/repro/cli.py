@@ -600,16 +600,31 @@ def _cmd_fleet(args, parser) -> int:
     return exit_code
 
 
+#: The commands that talk to a running service through ``_service_client``.
+_CLIENT_COMMANDS = ("ping", "stats", "metrics", "profile", "top", "submit", "shutdown")
+
+
+def _check_client_flags(args, parser, *timeouts: str) -> None:
+    """Exit 2 unless each set ``timeouts`` flag is > 0 and ``--retries`` >= 1."""
+    for flag in timeouts:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and value <= 0:
+            parser.error(f"{flag} must be > 0")
+    if args.retries < 1:
+        parser.error("--retries must be >= 1")
+
+
 def _service_client(args):
     from repro.service import RetryPolicy, ServiceClient
 
-    retries = getattr(args, "retries", 1)
     return ServiceClient(
         args.host,
         args.port,
         connect_timeout=args.timeout,
-        timeout=getattr(args, "request_timeout", None),
-        retry=RetryPolicy(max_attempts=retries) if retries > 1 else None,
+        timeout=args.request_timeout,
+        retry=(
+            RetryPolicy(max_attempts=args.retries) if args.retries > 1 else None
+        ),
     )
 
 
@@ -1252,8 +1267,7 @@ def _cmd_campaign(args, parser) -> int:
         from repro.exceptions import ServiceError
         from repro.service import RetryPolicy, ServiceClient, parse_endpoint
 
-        if args.retries < 1:
-            parser.error("--retries must be >= 1")
+        _check_client_flags(args, parser, "--service-timeout", "--request-timeout")
         try:
             host, port = parse_endpoint(args.via_service)
         except ServiceError as exc:
@@ -1873,6 +1887,8 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_serve(args, parser)
     if args.command == "fleet":
         return _cmd_fleet(args, parser)
+    if args.command in _CLIENT_COMMANDS:
+        _check_client_flags(args, parser, "--timeout", "--request-timeout")
     if args.command == "ping":
         return _cmd_ping(args, parser)
     if args.command == "stats":

@@ -142,7 +142,6 @@ def evaluate_many(
     model: ExecutionModel | str = "overlap",
     cache: StructureCache | None = None,
     n_jobs: int = 1,
-    pool: ProcessPoolExecutor | None = None,
     **options,
 ) -> list[float]:
     """Score a batch of candidate mappings, deduplicated and parallel.
@@ -157,10 +156,7 @@ def evaluate_many(
     Solvers are pure functions of ``(mapping, model)`` (the simulation
     solver derives its stream from the candidate fingerprint, not from
     evaluation order), and results are folded back in submission order,
-    so the output is bit-identical to the serial loop. A caller scoring
-    many batches (a search loop, a resident service) can pass its own
-    ``pool`` to amortize one executor across all of them; it is ignored
-    when ``n_jobs == 1`` and never shut down here.
+    so the output is bit-identical to the serial loop.
     """
     s = resolve_solver(solver, options)
     model = ExecutionModel.coerce(model)
@@ -169,7 +165,7 @@ def evaluate_many(
     if cache is None:
         cache = StructureCache()
     tasks: list[Task] = [(s, mapping, model) for mapping in mappings]
-    return _evaluate_batch(tasks, cache, n_jobs, pool=pool)
+    return _evaluate_batch(tasks, cache, n_jobs)
 
 
 def evaluate_tasks(

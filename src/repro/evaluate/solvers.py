@@ -137,7 +137,18 @@ def _strict_net(mapping: Mapping, cache: StructureCache | None):
 @register_solver("deterministic")
 @dataclass(frozen=True)
 class DeterministicSolver:
-    """Section 4 static throughput (symbolic Overlap / critical cycles)."""
+    """Section 4 static throughput (symbolic Overlap / critical cycles).
+
+    ``semantics`` applies to Overlap. A Strict mapping is always scored
+    by the SCC composition
+    (:func:`~repro.core.deterministic.tpn_throughput_deterministic`),
+    which sums the rates of independent rows: on a Strict net that is
+    not strongly connected it exceeds the whole-net ``m / P`` that
+    :func:`~repro.core.critical.analyze_critical_resource` reports. The
+    ``bounds`` solver pairs this value with Theorem 2's full chain,
+    which sums independent rows too, so which of the two values Strict
+    should report here is an open question.
+    """
 
     semantics: str = "unbounded"
     max_states: int = 200_000

@@ -52,6 +52,10 @@ class Table1Config:
         InstanceClass(3, 7, (10.0, 50.0), 500, "(3,7) comm 10..50"),
     ])
     seed: int = 2010
+    #: Largest gap still counted as "has a critical resource". Over this
+    #: census a gap is round-off (|gap| <= 8.2e-16) or real (>= 5.1e-4,
+    #: 26 Strict instances): 1e-6 lies nine orders of magnitude above
+    #: the one and 2.7 below the other, so no instance sits near it.
     gap_tolerance: float = 1e-6
     #: Skip instances whose lcm would unroll beyond this many transitions
     #: (the paper's own tooling is O(m³n³) and has the same practical cap).

@@ -30,7 +30,6 @@ throughput guaranteed under any N.B.U.E. variability).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -40,9 +39,6 @@ from repro.exceptions import InvalidMappingError
 from repro.mapping.generators import random_mapping
 from repro.mapping.mapping import Mapping
 from repro.platform.topology import Platform
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from concurrent.futures import ProcessPoolExecutor
 
 
 @dataclass(frozen=True)
@@ -67,7 +63,6 @@ def _batch_score(
     max_states: int,
     cache: StructureCache,
     n_jobs: int,
-    pool: "ProcessPoolExecutor | None" = None,
 ) -> list[float]:
     # Forward max_states only to backends that take it (the simulation
     # solver, for one, does not).
@@ -82,7 +77,6 @@ def _batch_score(
         model="overlap",
         cache=cache,
         n_jobs=n_jobs,
-        pool=pool,
         **options,
     )
 
@@ -186,7 +180,6 @@ def greedy_hill_climb(
     max_states: int = 200_000,
     n_jobs: int = 1,
     cache: StructureCache | None = None,
-    pool: "ProcessPoolExecutor | None" = None,
 ) -> SearchResult:
     """First-improvement local search from a random (or given) start.
 
@@ -219,9 +212,7 @@ def greedy_hill_climb(
         improved = False
         for lo in range(0, len(cands), chunk):
             part = cands[lo : lo + chunk]
-            scores = _batch_score(
-                part, mode, max_states, cache, n_jobs, pool=pool
-            )
+            scores = _batch_score(part, mode, max_states, cache, n_jobs)
             evals += len(part)
             for cand, rho in zip(part, scores):
                 if rho > best * (1 + 1e-12):
@@ -251,14 +242,8 @@ def random_restart_search(
     max_states: int = 200_000,
     n_jobs: int = 1,
     cache: StructureCache | None = None,
-    pool: "ProcessPoolExecutor | None" = None,
 ) -> SearchResult:
     """Multi-start hill climbing; also seeds one run from the baseline.
-
-    A long-lived caller (the evaluation service) passes its persistent
-    ``pool`` so the repeated neighbourhood batches reuse one executor
-    instead of spawning workers per climb step; it is never shut down
-    here.
 
     All restarts share one structure cache, so revisited (or
     throughput-isomorphic) candidates across runs cost nothing — the
@@ -284,7 +269,6 @@ def random_restart_search(
             max_states=max_states,
             n_jobs=n_jobs,
             cache=cache,
-            pool=pool,
         )
         evals += result.evaluations
         if best is None or result.throughput > best.throughput:

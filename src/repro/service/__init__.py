@@ -33,8 +33,9 @@ over a loopback socket:
   (closed → open → half-open, escalating cooldowns, probation after
   recovery), rendezvous (HRW) placement of each task on the worker
   ranked first for its structure fingerprint, an orchestrator speaking
-  the *same* protocol that shards batches across workers, fails over
-  when one dies mid-request, quarantines poison units after they fail
+  the *same* protocol that shards batches across workers (an
+  ``evaluate`` is a one-task batch), fails over when one dies
+  mid-request, quarantines poison units after they fail
   on distinct workers, and aggregates fleet statistics, plus a
   :class:`FleetSupervisor` that respawns dead worker processes
   (bounded budget, exponential backoff) and re-announces them for a

@@ -113,8 +113,8 @@ class ServiceClient:
     (``None`` waits however long the evaluation takes).
     ``connect_timeout`` guards only the connect (default: ``timeout``).
     ``retry`` enables automatic retries of the transient error types for
-    the idempotent operations (``ping``/``evaluate``/``solve``/``batch``/
-    ``search``/``stats``); ``shutdown`` is never retried.
+    every operation but ``shutdown``, which is never retried: the others
+    are idempotent.
     """
 
     def __init__(
@@ -386,17 +386,6 @@ class ServiceClient:
             reply.get("failures", []),
             reply.get("stats", {}),
         )
-
-    def search(self, *, timeout=_UNSET, **params) -> dict:
-        """Server-side mapping search; see ``EvaluationEngine.run_search``."""
-        reply = self.request({"op": "search", "params": params}, timeout=timeout)
-        return {
-            key: reply[key]
-            for key in (
-                "throughput", "teams", "evaluations",
-                "cache_hits", "cache_misses",
-            )
-        }
 
     def shutdown(self, *, timeout=_UNSET) -> None:
         """Ask the server to stop; the connection is closed afterwards.

@@ -74,7 +74,7 @@ log = get_logger("service.host")
 CONTROL_OPS = frozenset({"ping", "stats", "metrics", "profile", "shutdown"})
 
 #: Operations that do evaluation work (admission-bounded, span-timed).
-WORK_OPS = frozenset({"evaluate", "solve", "batch", "search"})
+WORK_OPS = frozenset({"evaluate", "solve", "batch"})
 
 #: Default ``retry_after`` hint (seconds) in shed replies.
 DEFAULT_RETRY_AFTER = 1.0

@@ -10,13 +10,13 @@ sends. The orchestrator owns no evaluation engine; it owns a
 :mod:`rendezvous affinity <repro.service.routing>`, and turns every
 work request into forwarded requests against the fleet:
 
-* ``evaluate`` / ``solve`` / ``search`` — routed whole to the
-  first-ranked worker for the request's routing key, failing over down
-  the ranking when a worker dies mid-request;
 * ``batch`` — split into per-worker sub-batches (each task routed by
   its structure fingerprint), dispatched concurrently, and merged back
   into one reply in the original request order; a worker lost mid-batch
   only re-dispatches *its* shard among the survivors;
+* ``evaluate`` / ``solve`` — a one-task batch (a ``solve`` first
+  desugars to the task it names), answered in the ``evaluate`` reply
+  shape;
 * ``stats`` / ``metrics`` / ``profile`` — fanned out across the live
   workers and aggregated with the orchestrator's own view;
 * ``ping`` — answered locally with a fleet summary.
@@ -36,7 +36,6 @@ treats a briefly headless fleet as retryable rather than fatal.
 from __future__ import annotations
 
 import contextlib
-import json
 import random
 import threading
 import time
@@ -210,7 +209,6 @@ class OrchestratorServer(ServiceHost):
                 "evaluate": self._evaluate,
                 "solve": self._evaluate,
                 "batch": self._batch,
-                "search": self._search,
             },
         )
         self.metrics = MetricsRegistry()
@@ -232,7 +230,7 @@ class OrchestratorServer(ServiceHost):
             fn=lambda: self._counters["units"],
         )
         m.counter(
-            "repro_orchestrator_failovers_total", "shards/requests re-dispatched",
+            "repro_orchestrator_failovers_total", "shards re-dispatched",
             fn=lambda: self._counters["failovers"],
         )
         m.counter(
@@ -317,99 +315,6 @@ class OrchestratorServer(ServiceHost):
             self.catalog.end(worker.name)
         self.catalog.record_success(worker.name)
         return reply
-
-    def forward_traced(self, payload: dict, key: str) -> dict:
-        """:meth:`forward`, wrapped with hop accounting and span timing.
-
-        The worker's own ``telemetry`` block is folded into this hop's
-        entry, so the reply the client sees has one orchestrator-level
-        block whose ``hops`` list tells the whole story — including the
-        workers that lost the request before one answered.
-        """
-        started = self.clock()
-        hops: list[dict] = []
-        try:
-            reply = self.forward(payload, key, hops=hops)
-        finally:
-            total_s = self.clock() - started
-            self._hist_request.observe(total_s)
-            self.profiler.record(("request",), total_s)
-        request_id = payload.get("request_id")
-        if request_id is not None:
-            reply["telemetry"] = {
-                "request_id": request_id,
-                "node": "orchestrator",
-                "spans": {"total_s": round(total_s, 6)},
-                "hops": hops,
-            }
-        return reply
-
-    def forward(self, payload: dict, key: str, hops: list | None = None) -> dict:
-        """Route one whole request; fail over down the ranking.
-
-        Within a sweep every live candidate is tried once in ranking
-        order. Transport failures mark the worker (eviction after its
-        streak fills) and move on; shed requests skip the worker without
-        a mark. Between sweeps the retry policy backs off — honouring
-        the largest ``retry_after`` hint seen — until attempts run out.
-        ``hops`` (when given) accumulates one record per worker tried.
-        """
-        sweeps = 0
-        max_sweeps = self.retry.max_attempts if self.retry is not None else 1
-        while True:
-            workers = self.catalog.live_workers()
-            if not workers:
-                raise ServiceUnavailable("no live workers in the fleet")
-            last_transient: ServiceError | None = None
-            overloaded: ServiceOverloaded | None = None
-            for worker in rank(key, workers):
-                try:
-                    reply = self._send(worker, payload)
-                except ServiceOverloaded as exc:
-                    if hops is not None:
-                        hops.append({"worker": worker.name, "status": "overloaded"})
-                    if overloaded is None or (
-                        (exc.retry_after or 0) > (overloaded.retry_after or 0)
-                    ):
-                        overloaded = exc
-                except _FAILOVER_ERRORS as exc:
-                    if hops is not None:
-                        hops.append({
-                            "worker": worker.name,
-                            "status": "lost",
-                            "error": type(exc).__name__,
-                        })
-                    log.warning(
-                        "request to worker %s failed (%s); failing over",
-                        worker.name, type(exc).__name__,
-                    )
-                    last_transient = exc
-                    self.catalog.record_failure(worker.name, failover=True)
-                    self._count(failovers=1)
-                else:
-                    if hops is not None:
-                        worker_tel = reply.pop("telemetry", None)
-                        hops.append({
-                            "worker": worker.name,
-                            "status": "ok",
-                            "spans": (worker_tel or {}).get("spans"),
-                        })
-                    return reply
-            sweeps += 1
-            if sweeps >= max_sweeps:
-                if last_transient is not None:
-                    raise ServiceUnavailable(
-                        "every live worker failed the request; "
-                        f"last error: {last_transient}"
-                    )
-                raise overloaded
-            time.sleep(
-                self.retry.delay(
-                    sweeps - 1,
-                    retry_after=getattr(overloaded, "retry_after", None),
-                    rng=self._rng,
-                )
-            )
 
     def run_batch(self, tasks: list, *, request_id: str | None = None) -> dict:
         """Shard a batch across the fleet and merge replies in order.
@@ -510,8 +415,7 @@ class OrchestratorServer(ServiceHost):
         (deadline, dead connection) is transient: its shard takes the
         re-route above. Any other error — a worker's error reply, a
         reply frame too large or torn mid-line — is not: once every
-        shard has joined it fails the whole request, with the same error
-        reply :meth:`forward` gives an ``evaluate``.
+        shard has joined it fails the whole request.
         """
         t_route = self.clock()
         # One snapshot serves the whole pass: ``begin`` sets a half-open
@@ -858,15 +762,15 @@ class OrchestratorServer(ServiceHost):
         )
 
     def _evaluate(self, payload: dict) -> dict:
-        # The routing key of a solve is the key of the task it desugars
-        # to on the worker — so a solve and the equivalent evaluate land
-        # on the same shard.
-        task = (
-            solve_task(payload) if payload["op"] == "solve"
-            else payload.get("task")
-        )
-        reply = self.forward_traced(payload, task_routing_key(task))
+        # A one-task batch. A solve desugars to the task it names, so a
+        # solve and the equivalent evaluate land on the same shard.
+        op = payload["op"]
+        task = solve_task(payload) if op == "solve" else payload.get("task")
+        reply = self.run_batch([task], request_id=payload.get("request_id"))
         self._count(requests=1, units=1)
+        [value] = reply.pop("values")
+        failures = reply.pop("failures")
+        reply.update(op=op, value=value, failure=failures[0] if failures else None)
         return reply
 
     def _batch(self, payload: dict) -> dict:
@@ -875,15 +779,6 @@ class OrchestratorServer(ServiceHost):
             raise ServiceError("batch needs a list 'tasks'")
         reply = self.run_batch(tasks, request_id=payload.get("request_id"))
         self._count(requests=1, batches=1, units=len(tasks))
-        return reply
-
-    def _search(self, payload: dict) -> dict:
-        params = payload.get("params")
-        if not isinstance(params, dict):
-            raise ServiceError("search needs an object 'params'")
-        key = json.dumps(params, sort_keys=True, default=repr)
-        reply = self.forward_traced(payload, key)
-        self._count(requests=1)
         return reply
 
     def finalize_reply(self, payload: dict, reply: dict, duration_s: float) -> None:

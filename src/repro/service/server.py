@@ -10,9 +10,8 @@ the shared :class:`~repro.service.workers.EvaluationEngine`:
   shed count, retry-after hint, pool restart counters, fault budgets;
 * ``evaluate`` — score one wire-format task (``solve`` is the
   named-system convenience form of the same thing);
-* ``batch`` — score a list of tasks (the campaign runner's chunk shape);
-* ``search`` — run the multi-start mapping search server-side, on the
-  shared structure cache;
+* ``batch`` — score a list of tasks (the campaign runner's chunk shape,
+  and what an orchestrator sends for every ``evaluate`` too);
 * ``metrics`` — the engine's metrics-registry snapshot, as JSON and as
   Prometheus text exposition (see :mod:`repro.telemetry.metrics`);
 * ``profile`` — the engine profiler's per-phase cost-attribution tree
@@ -107,7 +106,6 @@ class ServiceServer(ServiceHost):
                 "evaluate": self._evaluate,
                 "solve": self._evaluate,
                 "batch": self._batch,
-                "search": self._search,
             },
             capacity=capacity,
             retry_after=retry_after,
@@ -203,12 +201,6 @@ class ServiceServer(ServiceHost):
             "failures": failures,
             "stats": stats,
         }
-
-    def _search(self, payload: dict) -> dict:
-        params = payload.get("params")
-        if not isinstance(params, dict):
-            raise ServiceError("search needs an object 'params'")
-        return {"ok": True, "op": "search", **self.engine.run_search(params)}
 
     def finalize_reply(self, payload: dict, reply: dict, duration_s: float) -> None:
         """Span-time a work reply, attach telemetry, feed the recorder.

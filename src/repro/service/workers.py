@@ -373,57 +373,6 @@ class EvaluationEngine:
         )
         return results, stats
 
-    def run_search(self, params: dict) -> dict:
-        """Mapping search over an explicit instance, on the shared cache.
-
-        ``params``: ``works`` (list), optional ``files``, ``speeds``
-        (list), optional ``bandwidth``, plus ``solver`` / ``restarts`` /
-        ``seed`` / ``max_states``. Returns the best mapping's teams and
-        throughput with the memo counters of this search.
-        """
-        from repro.application.chain import Application
-        from repro.mapping.heuristics import random_restart_search
-        from repro.platform.topology import Platform
-
-        unknown = set(params) - {
-            "works", "files", "speeds", "bandwidth",
-            "solver", "restarts", "seed", "max_states",
-        }
-        if unknown:
-            raise ServiceError(
-                f"unknown search key(s): {', '.join(sorted(map(str, unknown)))}"
-            )
-        for key in ("works", "speeds"):
-            if not isinstance(params.get(key), list) or not params[key]:
-                raise ServiceError(f"search needs a non-empty list {key!r}")
-        try:
-            app = Application.from_work(params["works"], params.get("files"))
-            platform = Platform.from_speeds(
-                params["speeds"], params.get("bandwidth", 1.0)
-            )
-            with self._eval_lock, profiling(self.profiler), \
-                    self.profiler.span("search"):
-                result = random_restart_search(
-                    app,
-                    platform,
-                    mode=params.get("solver", "deterministic"),
-                    n_restarts=int(params.get("restarts", 5)),
-                    seed=int(params.get("seed", 0)),
-                    max_states=int(params.get("max_states", 200_000)),
-                    n_jobs=self.n_jobs,
-                    cache=self.cache,
-                    pool=self._get_pool(),
-                )
-        except (ReproError, TypeError, ValueError) as exc:
-            raise ServiceError(f"search failed: {exc}") from None
-        return {
-            "throughput": result.throughput,
-            "teams": [list(team) for team in result.mapping.teams],
-            "evaluations": result.evaluations,
-            "cache_hits": result.cache_hits,
-            "cache_misses": result.cache_misses,
-        }
-
     # ------------------------------------------------------------------
     # Pool and lifecycle
     # ------------------------------------------------------------------

@@ -301,6 +301,42 @@ class TestVersion:
         assert __version__ in capsys.readouterr().out
 
 
+def _bad_client_flags():
+    """One case per service-client flag and command, each value refused.
+
+    Timeouts must be > 0 and retries >= 1. ``campaign run`` already
+    refused ``--retries 0``, so only its two timeouts are new.
+    """
+    timeouts = [("--timeout", "0"), ("--request-timeout", "-1")]
+    for command in (
+        ["ping"], ["stats"], ["metrics"], ["profile"], ["top", "--count", "1"],
+        ["submit", "--system", "example_a"], ["shutdown"],
+    ):
+        for flag, value in [*timeouts, ("--retries", "0")]:
+            yield pytest.param(
+                [*command, "--port", "1"], flag, value, id=f"{command[0]}{flag}"
+            )
+    for flag, value in [("--service-timeout", "0"), ("--request-timeout", "-1")]:
+        yield pytest.param(
+            ["campaign", "run", "--preset", "smoke", "--via-service", "127.0.0.1:1"],
+            flag, value, id=f"campaign{flag}",
+        )
+
+
+class TestServiceClientFlags:
+    @pytest.mark.parametrize("command, flag, value", _bad_client_flags())
+    def test_rejects_values_it_cannot_honour(
+        self, command, flag, value, tmp_path, capsys
+    ):
+        # Checked before any connection is tried, so no server is needed.
+        if command[0] == "campaign":
+            command = [*command, "--store", str(tmp_path / "s.jsonl")]
+        with pytest.raises(SystemExit) as exc:
+            main([*command, flag, value])
+        assert exc.value.code == 2
+        assert f"error: {flag} must be" in capsys.readouterr().err
+
+
 class TestServiceCommands:
     @pytest.fixture
     def served_cli(self, tmp_path):

@@ -13,6 +13,7 @@ from repro.core import (
     tpn_throughput_classic,
     tpn_throughput_deterministic,
 )
+from repro.exceptions import UnsupportedModelError
 from repro.mapping import max_cycle_time
 from repro.mapping.examples import example_a, single_communication
 from repro.petri import build_overlap_tpn, build_strict_tpn
@@ -106,6 +107,12 @@ class TestReplication:
             unb = deterministic_throughput(mp, "overlap")
             bot = deterministic_throughput(mp, "overlap", semantics="bottleneck")
             assert unb >= bot * (1 - 1e-12)
+
+    def test_unknown_semantics_rejected_under_both_models(self):
+        mp = make_mapping([[0], [1, 2]])
+        for model in ("overlap", "strict"):
+            with pytest.raises(UnsupportedModelError):
+                deterministic_throughput(mp, model, semantics="???")
 
 
 class TestTpnEvaluators:

@@ -491,8 +491,10 @@ class TestFleetSupervisor:
 # Poison-unit quarantine
 # ----------------------------------------------------------------------
 class TestPoisonQuarantine:
-    def test_unit_failing_on_distinct_workers_is_quarantined(self):
-        task = pattern_task(2, 3)
+    @staticmethod
+    def quarantine_one(send) -> None:
+        # Both workers drop every reply, so the unit is lost on two
+        # distinct workers within one sweep and quarantined.
         with local_fleet(
             2,
             faults={0: "drop:4", 1: "drop:4"},
@@ -502,7 +504,7 @@ class TestPoisonQuarantine:
             ),
         ) as fleet:
             with fleet.client() as client:
-                _values, failures, _stats = client.evaluate_batch([task])
+                failures = send(client, pattern_task(2, 3))
                 stats = client.stats()
         assert len(failures) == 1
         failure = failures[0]
@@ -510,6 +512,18 @@ class TestPoisonQuarantine:
         assert failure["index"] == 0
         assert "2 distinct worker" in failure["message"]
         assert stats["orchestrator"]["quarantined"] == 1
+
+    def test_unit_failing_on_distinct_workers_is_quarantined(self):
+        self.quarantine_one(lambda client, task: client.evaluate_batch([task])[1])
+
+    def test_evaluate_unit_failing_on_distinct_workers_is_quarantined(self):
+        # An evaluate is a one-task batch: the reply is ok and carries
+        # the quarantine record as its failure.
+        self.quarantine_one(
+            lambda client, task: [
+                client.request({"op": "evaluate", "task": task})["failure"]
+            ]
+        )
 
     def test_quarantine_counts_distinct_workers_not_raw_retries(self):
         # A single unit walks the same-sweep re-route chain across all
@@ -742,15 +756,30 @@ class TestOrchestratorEndToEnd:
         assert reply["workers"] == {"total": 2, "live": 2}
         assert reply["strategy"] == "fingerprint_affinity"
 
-    def test_search_forwarded_to_a_worker(self):
-        with local_fleet(2) as fleet:
+    def test_evaluate_is_a_one_task_batch(self):
+        # One dispatch path: an evaluate travels as a one-task batch, so
+        # it carries the batch spans and hop units, and the route, shard
+        # and merge instruments and profile phases observe it.
+        task = pattern_task(2, 3)
+        direct = evaluate(
+            single_communication(2, 3, comm_time=1.0),
+            solver="deterministic", model="overlap", cache=StructureCache(),
+        )
+        with local_fleet(2, ping_interval=None) as fleet:
             with fleet.client() as client:
-                result = client.search(
-                    works=[1.0, 2.0], speeds=[1.0, 1.0, 1.0],
-                    restarts=1, seed=0,
-                )
-        assert result["throughput"] > 0
-        assert result["evaluations"] > 0
+                value = client.evaluate(task)
+                telemetry = client.last_telemetry
+            orch = fleet.orchestrator
+            metrics = orch.metrics.collect()
+            phases = orch.profiler.snapshot()["phases"]
+        assert value == direct
+        assert set(telemetry["spans"]) == {
+            "route_s", "execute_s", "merge_s", "total_s",
+        }
+        assert [hop["units"] for hop in telemetry["hops"]] == [1]
+        for name in ("route", "shard", "merge"):
+            assert metrics[f"repro_orchestrator_{name}_seconds"]["count"] == 1
+        assert set(phases["request"]["children"]) == {"route", "merge"}
 
     def test_solve_forwarded(self):
         with local_fleet(2) as fleet:

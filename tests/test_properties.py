@@ -19,6 +19,7 @@ from repro.core import (
     pattern_throughput_homogeneous,
     tpn_exponential_throughput_scc,
 )
+from repro.core.critical import analyze_critical_resource
 from repro.core.pattern import CommPattern, build_pattern_tpn
 from repro.distributions import make_distribution
 from repro.exceptions import StructuralError
@@ -294,6 +295,23 @@ class TestTpnProperties:
         assert scc == pytest.approx(
             overlap_exponential_throughput(mp), rel=1e-9, abs=0
         )
+
+    @given(short_replications, st.integers(0, 2 ** 16))
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_throughput_never_exceeds_critical_resource_bound(self, reps, seed):
+        """``ρ <= 1 / Mct`` under both models, on nets of any shape.
+
+        Strict nets of independent rows (a single replicated stage, or
+        replication (3, 3)) are not strongly connected, so this also
+        checks that the Table 1 value is the whole-net critical cycle.
+        ``1e-9`` covers the kernel, which ignores gains below
+        ``1e-11·max|w|`` per arc, so a critical ratio can sit that much
+        per arc below the true one.
+        """
+        mp = mapping_from_replication(reps, seed=seed)
+        for model in ("overlap", "strict"):
+            report = analyze_critical_resource(mp, model)
+            assert report.actual_throughput <= report.bound_throughput * (1 + 1e-9)
 
 
 # ----------------------------------------------------------------------

@@ -346,25 +346,6 @@ class TestEngine:
         assert engine.executed == 1  # the counter-asserted proof
         assert engine.queue.leads + engine.memo_hits >= 1
 
-    def test_search_uses_shared_cache(self):
-        engine = EvaluationEngine()
-        out = engine.run_search(
-            {"works": [1.0, 2.0], "speeds": [1.0, 1.0, 1.0], "restarts": 1}
-        )
-        assert set(out) == {
-            "throughput", "teams", "evaluations", "cache_hits", "cache_misses",
-        }
-        assert engine.cache.misses == out["cache_misses"]
-
-    def test_search_rejects_bad_params(self):
-        engine = EvaluationEngine()
-        with pytest.raises(ServiceError, match="works"):
-            engine.run_search({"speeds": [1.0]})
-        with pytest.raises(ServiceError, match="unknown search key"):
-            engine.run_search(
-                {"works": [1.0], "speeds": [1.0], "quantum": True}
-            )
-
     def test_normalize_task_validation(self):
         with pytest.raises(ServiceError, match="JSON object"):
             normalize_task("nope")
@@ -394,7 +375,7 @@ class TestServerClient:
         assert reply["counters"]["requests"]["units"] == 0
         assert reply["counters"]["disk_cache"]["entries"] == 0
 
-    def test_evaluate_solve_batch_search(self, live_server):
+    def test_evaluate_solve_batch(self, live_server):
         _engine, host, port = live_server
         with ServiceClient(host, port) as client:
             value = client.evaluate(pattern_task(2, 3))
@@ -408,10 +389,6 @@ class TestServerClient:
             values, failures, stats = client.evaluate_batch(smoke_tasks())
             assert failures == []
             assert stats["units"] == 4
-            searched = client.search(
-                works=[1.0, 2.0], speeds=[1.0, 1.0, 1.0], restarts=1
-            )
-            assert searched["throughput"] > 0
 
     def test_per_task_failures_cross_the_wire(self, live_server):
         _engine, host, port = live_server
@@ -589,25 +566,6 @@ class TestEngineDegradation:
             stats["executed"] + stats["disk_hits"]
             + stats["memo_hits"] + stats["coalesced"]
         )
-
-    def test_search_reuses_persistent_pool(self):
-        # The search path shares the engine's executor: identical result
-        # whether the engine is serial or pooled, and the pooled engine
-        # holds exactly one executor afterwards.
-        params = {
-            "works": [1.0, 2.0, 3.0],
-            "speeds": [1.0] * 6,
-            "restarts": 1,
-        }
-        serial = EvaluationEngine().run_search(params)
-        pooled_engine = EvaluationEngine(n_jobs=2)
-        try:
-            pooled = pooled_engine.run_search(params)
-            assert pooled["throughput"] == serial["throughput"]
-            assert pooled["teams"] == serial["teams"]
-            assert pooled_engine._pool is not None
-        finally:
-            pooled_engine.close()
 
 
 class TestShutdownDrain:
