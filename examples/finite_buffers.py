@@ -37,8 +37,7 @@ def main() -> None:
     print("buffer B | exp (exact CTMC) | retained | det (DES) | retained")
     for cap in (1, 2, 4, 8):
         rho_exp = exponential_throughput(
-            mapping, "overlap", method="full", buffer_capacity=cap,
-            max_states=500_000,
+            mapping, "overlap", buffer_capacity=cap, max_states=500_000,
         )
         tpn = build_overlap_tpn(mapping, buffer_capacity=cap)
         rho_det = simulate_tpn(

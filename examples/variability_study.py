@@ -72,8 +72,8 @@ def main() -> None:
     print("\n* = below the Theorem 7 floor (only possible for non-N.B.U.E. laws)")
 
     # How trustworthy is one simulated estimate? Section 7.3's answer:
-    # replicate it. The vectorized engine batches all replications
-    # through one recurrence pass, so this costs little more than a
+    # replicate it. A ReplicationSpec runs all replications through one
+    # vectorized recurrence pass, so this costs little more than a
     # single run.
     from repro.sim import ReplicationSpec, replicate
 
@@ -84,7 +84,7 @@ def main() -> None:
     )
     print(
         f"\nexponential estimator over {summary.n_replications} replications "
-        f"(vectorized engine): mean {summary.mean:.4f}, "
+        f"(one vectorized pass): mean {summary.mean:.4f}, "
         f"std {100 * summary.relative_std:.2f}% of mean, "
         f"range [{summary.min:.4f}, {summary.max:.4f}]"
     )

@@ -76,10 +76,10 @@ def _fig11() -> CampaignSpec:
             ScenarioSpec(
                 name="fig11/dispersion",
                 description="mean replicated throughput vs run length "
-                "(vectorized replication engine)",
+                "(100 replications in one vectorized pass per unit)",
                 system=system,
                 solver="simulation",
-                options={"n_replications": 100, "engine": "vectorized"},
+                options={"n_replications": 100},
                 axes={"solver.n_datasets": [10, 100, 1000]},
             ),
         ],

@@ -34,6 +34,7 @@ from repro.evaluate.cache import StructureCache
 from repro.evaluate.solvers import get_solver
 from repro.exceptions import (
     CampaignError,
+    InvalidDistributionError,
     ServiceError,
     ServiceOverloaded,
     ServiceTimeout,
@@ -296,12 +297,13 @@ def _unit_task(unit: RunUnit) -> tuple:
     """The ``(solver, mapping, model)`` evaluation task of one unit.
 
     Solver-constructor failures (bad option values that name-level
-    validation can't see) surface as :class:`CampaignError` here, at
-    prepare time, not as a traceback mid-run.
+    validation can't see, such as an unknown estimator or law) surface
+    as :class:`CampaignError` here, at prepare time, not as a traceback
+    mid-run.
     """
     try:
         solver = get_solver(unit.solver, **unit.options)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, InvalidDistributionError) as exc:
         raise CampaignError(
             f"scenario {unit.scenario!r}: cannot configure solver "
             f"{unit.solver!r} with options {unit.options!r}: {exc}"

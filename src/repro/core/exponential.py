@@ -3,22 +3,24 @@
 Three evaluators, in increasing generality / cost:
 
 * :func:`overlap_exponential_throughput` — Theorem 3/4 symbolic column
-  decomposition (the recommended Overlap path; polynomial for homogeneous
+  decomposition (the Overlap path; polynomial for homogeneous
   communications, ``S(u, v)``-sized CTMCs otherwise);
 * :func:`tpn_exponential_throughput_scc` — per-SCC saturated CTMCs on an
   unrolled net, composed by the bottleneck rule. Exact for feed-forward
-  (Overlap) nets of modest ``m``; used to cross-validate the symbolic
-  decomposition (in particular the "c copies of one pattern" reduction);
+  (Overlap) nets of modest ``m``; the decomposition's cross-check (in
+  particular of the "c copies of one pattern" reduction), called as
+  ``tpn_exponential_throughput_scc(build_overlap_tpn(mapping))``;
 * :func:`strict_exponential_throughput` — Theorem 2's full marking chain
   for the Strict model (the net is bounded thanks to its backward edges);
   exponential cost, intended for small instances.
+
+:func:`exponential_throughput` picks among them from its input alone.
 """
 
 from __future__ import annotations
 
 import math
 
-from repro.exceptions import StructuralError, UnsupportedModelError
 from repro.mapping.mapping import Mapping
 from repro.markov.builder import exponential_rates, tpn_throughput_exponential
 from repro.petri.analysis import condensation_edges, subnet
@@ -96,46 +98,28 @@ def exponential_throughput(
     mapping: Mapping,
     model: ExecutionModel | str,
     *,
-    method: str = "auto",
     semantics: str = "unbounded",
     buffer_capacity: int | None = None,
     max_states: int = 200_000,
 ) -> float:
     """Front door: exponential throughput under either execution model.
 
-    ``method``:
-
-    * ``"auto"`` — decomposition for Overlap, full chain for Strict;
-    * ``"decomposition"`` — Theorem 3/4 (Overlap only);
-    * ``"scc"`` — unrolled SCC composition (Overlap only; cross-check);
-    * ``"full"`` — Theorem 2 marking chain. For Overlap this requires a
-      finite ``buffer_capacity`` (the paper's net is feed-forward, hence
-      unbounded; see DESIGN.md §3.3).
+    * Strict — Theorem 2's full marking chain (``buffer_capacity`` and
+      ``semantics`` do not apply);
+    * Overlap — the Theorem 3/4 decomposition, or, when
+      ``buffer_capacity`` is set, the marking chain of the capacitated
+      net. The paper's Overlap net is feed-forward, hence unbounded, so
+      it has a finite marking chain only with capacity places.
     """
     model = ExecutionModel.coerce(model)
     if model is ExecutionModel.STRICT:
-        if method not in ("auto", "full"):
-            raise UnsupportedModelError(
-                f"method {method!r} is undefined for the Strict model"
-            )
         return strict_exponential_throughput(mapping, max_states=max_states)
-
-    if method in ("auto", "decomposition"):
+    if buffer_capacity is None:
         return overlap_exponential_throughput(
             mapping, semantics=semantics, max_states=max_states
         )
-    if method == "scc":
-        tpn = build_overlap_tpn(mapping)
-        return tpn_exponential_throughput_scc(tpn, max_states=max_states)
-    if method == "full":
-        if buffer_capacity is None:
-            raise StructuralError(
-                "the Overlap net is unbounded: the full marking-chain method "
-                "needs an explicit buffer_capacity"
-            )
-        tpn = build_overlap_tpn(mapping, buffer_capacity=buffer_capacity)
-        return tpn_throughput_exponential(tpn, max_states=max_states)
-    raise UnsupportedModelError(f"unknown method {method!r}")
+    tpn = build_overlap_tpn(mapping, buffer_capacity=buffer_capacity)
+    return tpn_throughput_exponential(tpn, max_states=max_states)
 
 
 __all__ = [

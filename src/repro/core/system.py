@@ -85,9 +85,9 @@ class StreamingSystem:
         """Static throughput (Section 4)."""
         return self.solve("deterministic", semantics=semantics)
 
-    def exponential_throughput(self, *, method: str = "auto", **kwargs) -> float:
+    def exponential_throughput(self, **kwargs) -> float:
         """Exponential-times throughput (Section 5)."""
-        return self.solve("exponential", method=method, **kwargs)
+        return self.solve("exponential", **kwargs)
 
     def throughput_bounds(self, **kwargs) -> ThroughputBounds:
         """N.B.U.E. sandwich (Theorem 7): ``(exponential, deterministic)``."""

@@ -180,14 +180,14 @@ class DeterministicSolver:
 class ExponentialSolver:
     """Section 5 exponential throughput (Theorems 2-4).
 
-    Mirrors :func:`repro.core.exponential.exponential_throughput` but
-    routes the Strict marking chain through the structure cache: the net
-    build and the reachability exploration are reused across candidates
+    Mirrors :func:`repro.core.exponential.exponential_throughput`, which
+    picks the method from the model and ``buffer_capacity``, but routes
+    the Strict marking chain through the structure cache: the net build
+    and the reachability exploration are reused across candidates
     sharing the timing / topology fingerprint, only the CTMC solve runs
     per candidate.
     """
 
-    method: str = "auto"
     semantics: str = "unbounded"
     buffer_capacity: int | None = None
     max_states: int = 200_000
@@ -204,7 +204,7 @@ class ExponentialSolver:
         from repro.petri.reachability import PLACE_BOUND, explore
 
         model = ExecutionModel.coerce(model)
-        if model is ExecutionModel.STRICT and self.method in ("auto", "full"):
+        if model is ExecutionModel.STRICT:
             # Cache-aware Strict path: the net build and the reachability
             # exploration are shared across same-fingerprint / same-topology
             # candidates, only the CTMC solve runs per candidate.
@@ -231,7 +231,6 @@ class ExponentialSolver:
         return exponential_throughput(
             mapping,
             model,
-            method=self.method,
             semantics=self.semantics,
             buffer_capacity=self.buffer_capacity,
             max_states=self.max_states,
@@ -298,10 +297,13 @@ class SimulationSolver:
 
     ``n_replications > 1`` turns the estimate into a Section 7.2/7.3
     replication study: the solver scores the mean throughput across
-    independent replications, evaluated by the runner ``engine`` of
-    choice (``"auto"`` batches them through one vectorized recurrence
-    pass; ``"loop"`` and ``"vectorized"`` force an engine, with
-    bit-identical values either way).
+    independent replications, all run in one vectorized recurrence pass
+    (:func:`~repro.sim.runner.replicate` on a
+    :class:`~repro.sim.runner.ReplicationSpec`).
+
+    The ``estimator`` and the law (``law`` with ``law_params``) are
+    checked when the solver is built, so a bad one fails before any
+    unit is scored.
     """
 
     #: This backend's value depends on its random stream (campaign
@@ -314,9 +316,11 @@ class SimulationSolver:
     seed: int = 0
     estimator: str = "total"
     n_replications: int = 1
-    engine: str = "auto"
 
     def __post_init__(self) -> None:
+        from repro.distributions.registry import make_distribution
+        from repro.sim.runner import check_estimator
+
         # Accept a dict or any pair sequence (JSON specs can only say
         # lists); store the canonical sorted-tuple form, which is what
         # keeps the solver hashable for the score-memo cache keys.
@@ -327,6 +331,10 @@ class SimulationSolver:
         object.__setattr__(self, "law_params", tuple(sorted(items)))
         if self.n_replications < 1:
             raise ValueError("n_replications must be >= 1")
+        check_estimator(self.estimator)
+        # Build the law once at unit mean: an unknown family or parameter
+        # raises InvalidDistributionError here, not at solve time.
+        make_distribution(self.law, 1.0, **dict(self.law_params))
 
     def rng_for(self, mapping: Mapping, model: ExecutionModel | str) -> np.random.Generator:
         digest = fingerprint_digest(mapping_fingerprint(mapping, model))
@@ -360,7 +368,6 @@ class SimulationSolver:
                     n_replications=self.n_replications,
                     seed=[self.seed, digest],
                     estimator=self.estimator,
-                    engine=self.engine,
                 )
             return summary.mean
         with profile_span("simulate"):

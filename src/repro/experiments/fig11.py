@@ -5,12 +5,15 @@ Same system as Fig. 10. For each number of processed data sets
 of the exponential-times throughput over 500 independent runs. Expected
 shape: the dispersion shrinks with the run length — standard deviation
 around 2 % of the mean at 5 000 data sets and around 1 % at 10 000.
+
+Each run length is one :class:`~repro.sim.runner.ReplicationSpec`, so
+:func:`~repro.sim.runner.replicate` evaluates all its replications in
+one vectorized recurrence pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
 
 from repro.evaluate import evaluate
 from repro.experiments.common import ExperimentResult
@@ -25,10 +28,6 @@ class Fig11Config:
     )
     n_replications: int = 500
     seed: int = 11
-    #: Replication engine: "auto" batches all replications through one
-    #: vectorized recurrence pass; "loop" forces the serial oracle.
-    #: Values are bit-identical either way.
-    engine: str = "auto"
 
 
 def run(config: Fig11Config | None = None) -> ExperimentResult:
@@ -52,7 +51,6 @@ def run(config: Fig11Config | None = None) -> ExperimentResult:
             ReplicationSpec(mp, "overlap", n_datasets=k, law="exponential"),
             n_replications=config.n_replications,
             seed=config.seed,
-            engine=config.engine,
         )
         result.add(
             n_datasets=k,

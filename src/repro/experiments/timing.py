@@ -3,14 +3,18 @@
 The paper reports that generating tasks and running every tool on 100
 data sets takes under a second, and that 100,000 events still complete in
 minutes. We time, on the Fig. 10 system: deterministic theory, exponential
-theory, the direct system simulator, the event-graph simulator, and the
-replication runner (loop vs vectorized engine) at several workload sizes.
+theory, the direct system simulator, the event-graph simulator, and a
+replication study at several workload sizes, both as a per-stream loop of
+single simulations and through :func:`~repro.sim.runner.replicate`, which
+runs a :class:`~repro.sim.runner.ReplicationSpec` in one vectorized pass.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.evaluate import evaluate
 from repro.experiments.common import ExperimentResult
@@ -29,7 +33,7 @@ class TimingConfig:
     tpn_cap: int = 20_000
     seed: int = 77
     #: Replication-study sizing: ``n_replications`` per timed study, with
-    #: per-engine dataset caps (the loop engine pays the full interpreter
+    #: per-path dataset caps (the per-stream loop pays the full interpreter
     #: cost per replication, so it gets a tighter cap).
     n_replications: int = 50
     rep_loop_cap: int = 1_000
@@ -76,21 +80,21 @@ def run(config: TimingConfig | None = None) -> ExperimentResult:
         else:
             t_tpn = float("nan")
         spec = ReplicationSpec(mp, "overlap", n_datasets=k, law="exponential")
-
-        def _rep(engine: str, spec=spec):
-            return replicate(
-                spec,
-                n_replications=config.n_replications,
-                seed=config.seed,
-                engine=engine,
-            )
-
         t_rep_loop = float("nan")
         if k <= config.rep_loop_cap:
-            t_rep_loop, _ = _clock(lambda: _rep("loop"))
+            streams = np.random.default_rng(config.seed).spawn(
+                config.n_replications
+            )
+            t_rep_loop, _ = _clock(lambda: [spec(rng) for rng in streams])
         t_rep_vec = float("nan")
         if k <= config.rep_vec_cap:
-            t_rep_vec, _ = _clock(lambda: _rep("vectorized"))
+            t_rep_vec, _ = _clock(
+                lambda: replicate(
+                    spec,
+                    n_replications=config.n_replications,
+                    seed=config.seed,
+                )
+            )
         result.add(
             n_datasets=k,
             theory_cst_s=t_cst,
@@ -105,8 +109,9 @@ def run(config: TimingConfig | None = None) -> ExperimentResult:
         "100,000 events (C tools); our Python tooling matches the shape"
     )
     result.notes.append(
-        f"rep_*_s: {config.n_replications}-replication study through "
-        "replicate(engine='loop'|'vectorized') — bit-identical summaries, "
-        "the vectorized engine batches the replication axis through numpy"
+        f"rep_*_s: {config.n_replications}-replication study as a per-stream "
+        "loop of simulate_system runs (loop) and through replicate (vec), "
+        "which batches the replication axis through numpy; the "
+        "per-replication values are bit-identical"
     )
     return result

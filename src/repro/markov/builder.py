@@ -71,7 +71,6 @@ def tpn_throughput_exponential(
     rates: np.ndarray | None = None,
     max_states: int = 200_000,
     place_bound: int = PLACE_BOUND,
-    method: str = "auto",
     reach: ReachabilityResult | None = None,
 ) -> float:
     """Exact exponential throughput of a bounded net (Theorem 2).
@@ -88,7 +87,7 @@ def tpn_throughput_exponential(
         tpn, rates, max_states=max_states, place_bound=place_bound, reach=reach
     )
     with profile_span("ctmc_solve"):
-        pi = chain.stationary_distribution(method=method)
+        pi = chain.stationary_distribution()
     counted_ix = tpn.last_column_transitions() if counted is None else list(counted)
     if any(not 0 <= t < tpn.n_transitions for t in counted_ix):
         raise StructuralError(

@@ -71,31 +71,18 @@ def dater_evolution(
                 f"got {times.shape}"
             )
 
-    # Group places per destination once.
-    src = np.fromiter((p.src for p in tpn.places), dtype=np.int64)
-    dst = np.fromiter((p.dst for p in tpn.places), dtype=np.int64)
-    tok = np.fromiter((p.tokens for p in tpn.places), dtype=np.int64)
-
-    d = np.empty((n_t, n_firings))
     # Evaluate firing round k for every transition; within a round the
     # zero-token dependencies form a DAG (liveness), so iterate in a
     # topological order of the zero-token subgraph, computed once.
-    import networkx as nx
-
-    g0 = nx.DiGraph()
-    g0.add_nodes_from(range(n_t))
-    g0.add_edges_from(
-        (int(s), int(v)) for s, v, m in zip(src, dst, tok) if m == 0
-    )
-    try:
-        topo = list(nx.topological_sort(g0))
-    except nx.NetworkXUnfeasible as exc:  # pragma: no cover - guarded
-        raise StructuralError("zero-token cycle: the net is not live") from exc
-
+    graph = tpn.to_token_graph()
+    topo = graph.zero_token_order()
+    if topo is None:
+        raise StructuralError("zero-token cycle: the net is not live")
     in_by_t: list[list[tuple[int, int]]] = [[] for _ in range(n_t)]
-    for s, v, m in zip(src.tolist(), dst.tolist(), tok.tolist()):
-        in_by_t[v].append((s, m))
+    for a in graph:
+        in_by_t[a.dst].append((a.src, a.tokens))
 
+    d = np.empty((n_t, n_firings))
     for k in range(n_firings):
         for t in topo:
             start = 0.0

@@ -83,13 +83,13 @@ class TokenGraph:
             g.add_edge(a.src, a.dst, weight=a.weight, tokens=a.tokens)
         return g
 
-    def has_zero_token_cycle(self) -> bool:
-        """Whether some cycle carries no token (a dead / non-live TPN).
+    def zero_token_order(self) -> list[int] | None:
+        """A topological order of the zero-token arcs, or ``None`` on a cycle.
 
-        Such a cycle can never fire: the maximum cycle ratio would be
-        ``+inf``. The builders never produce one; this check guards
-        hand-built graphs. Kahn's topological sort over the zero-token
-        arcs: it removes every node exactly when they form no cycle.
+        Kahn's sort over the arcs that carry no token, in one
+        ``O(V + E)`` pass: it removes every node exactly when they form
+        no cycle. Within one firing round, the daters of a live net are
+        evaluated in this order.
         """
         succ: list[list[int]] = [[] for _ in range(self._n)]
         indegree = [0] * self._n
@@ -98,11 +98,21 @@ class TokenGraph:
                 succ[a.src].append(a.dst)
                 indegree[a.dst] += 1
         stack = [v for v in range(self._n) if not indegree[v]]
-        removed = 0
+        order: list[int] = []
         while stack:
-            removed += 1
-            for v in succ[stack.pop()]:
+            u = stack.pop()
+            order.append(u)
+            for v in succ[u]:
                 indegree[v] -= 1
                 if not indegree[v]:
                     stack.append(v)
-        return removed < self._n
+        return order if len(order) == self._n else None
+
+    def has_zero_token_cycle(self) -> bool:
+        """Whether some cycle carries no token (a dead / non-live TPN).
+
+        Such a cycle can never fire: the maximum cycle ratio would be
+        ``+inf``. The builders never produce one; this check guards
+        hand-built graphs (see :meth:`zero_token_order`).
+        """
+        return self.zero_token_order() is None

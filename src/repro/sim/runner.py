@@ -4,30 +4,20 @@ Reproduces the paper's Section 7.2/7.3 methodology: run 500 independent
 replications of 10…10 000 data sets and report min / max / average /
 standard deviation of the throughput estimator.
 
-Two execution engines produce the same numbers:
-
-* ``engine="loop"`` — one :func:`~repro.sim.system_sim.simulate_system`
-  pass per replication (optionally fanned over a process pool);
-* ``engine="vectorized"`` — all replications evaluated in one
-  :func:`~repro.sim.system_sim.simulate_system_batch` recurrence pass,
-  with the replication axis handled by numpy instead of the interpreter.
-
-``engine="auto"`` (the default) picks the vectorized engine whenever the
-work is described by a :class:`ReplicationSpec` — a declarative record
-the runner can dispatch on — and falls back to the loop for opaque
-callables. Each replication draws from its own spawned generator in the
-serial draw order, so the per-replication estimates (and therefore the
-summaries) are **bit-identical** across engines.
+The input picks the path. A :class:`ReplicationSpec` — a declarative
+record the runner can see into — runs every replication in one
+:func:`~repro.sim.system_sim.simulate_system_batch` recurrence pass, with
+the replication axis handled by numpy instead of the interpreter; any
+other ``rng -> SimulationResult`` callable runs once per spawned stream.
+Each replication draws from its own spawned generator in the serial draw
+order, so a spec's per-replication estimates (and therefore its summary)
+are **bit-identical** to calling the spec once per stream.
 """
 
 from __future__ import annotations
 
-import pickle
-import warnings
 from collections.abc import Callable, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -41,11 +31,17 @@ from repro.sim.system_sim import (
 )
 from repro.types import ExecutionModel
 
-#: Recognized values of ``replicate(engine=)``.
-ENGINES = ("auto", "vectorized", "loop")
-
 #: Recognized values of ``replicate(estimator=)``.
 ESTIMATORS = ("total", "steady")
+
+
+def check_estimator(estimator: str) -> None:
+    """Raise ``ValueError`` unless ``estimator`` is one of :data:`ESTIMATORS`."""
+    if estimator not in ESTIMATORS:
+        raise ValueError(
+            f"unknown estimator {estimator!r}; "
+            f"available: {', '.join(ESTIMATORS)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -56,7 +52,7 @@ class ReplicationSpec:
     the work — mapping, model, law, workload size — and route it to the
     vectorized batch kernel. It is itself a picklable
     ``rng -> SimulationResult`` callable, so it drops into every API that
-    accepted a run callable (including ``n_jobs > 1`` process pools).
+    accepts a run callable.
     """
 
     mapping: Mapping
@@ -118,71 +114,33 @@ class ReplicationSummary:
         return self.std / self.mean if self.mean else 0.0
 
 
-def _replication_value(
-    run: Callable[[np.random.Generator], SimulationResult],
-    estimator: str,
-    rng: np.random.Generator,
-) -> float:
-    result = run(rng)
-    return (
-        result.throughput
-        if estimator == "total"
-        else result.steady_state_throughput()
-    )
-
-
-def _resolve_engine(run, engine: str) -> bool:
-    """Whether to use the batch kernel; raises on impossible requests."""
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; available: {', '.join(ENGINES)}"
-        )
-    batchable = isinstance(run, ReplicationSpec)
-    if engine == "vectorized" and not batchable:
-        raise ValueError(
-            "engine='vectorized' needs a ReplicationSpec; an opaque "
-            "callable can only run through engine='loop' (or 'auto', "
-            "which falls back to it)"
-        )
-    return batchable and engine != "loop"
-
-
-def _check_common(n_replications: int, estimator: str) -> None:
-    if n_replications < 1:
-        raise ValueError("n_replications must be >= 1")
-    if estimator not in ESTIMATORS:
-        raise ValueError(
-            f"unknown estimator {estimator!r}; "
-            f"available: {', '.join(ESTIMATORS)}"
-        )
-
-
 def replication_values(
     run: Callable[[np.random.Generator], SimulationResult] | ReplicationSpec,
     *,
     n_replications: int,
     seed: int | Sequence[int] = 0,
     estimator: str = "total",
-    engine: str = "auto",
 ) -> np.ndarray:
     """Per-replication throughput estimates, shape ``(n_replications,)``.
 
-    The engine-equivalence contract lives here: for the same ``seed`` the
-    returned vector is byte-identical between ``engine="loop"`` and
-    ``engine="vectorized"``. :func:`replicate` folds this vector into a
-    :class:`ReplicationSummary`; tests and benchmarks compare it raw.
+    The identity contract lives here: for the same ``seed`` a
+    :class:`ReplicationSpec`'s vector is byte-identical to the per-stream
+    loop ``[spec(rng) for rng in default_rng(seed).spawn(n_replications)]``.
+    :func:`replicate` folds this vector into a :class:`ReplicationSummary`;
+    tests compare it raw.
     """
-    _check_common(n_replications, estimator)
-    vectorized = _resolve_engine(run, engine)
+    if n_replications < 1:
+        raise ValueError("n_replications must be >= 1")
+    check_estimator(estimator)
     streams = np.random.default_rng(seed).spawn(n_replications)
-    if vectorized:
+    if isinstance(run, ReplicationSpec):
         batch = run.simulate_batch(streams)
         if estimator == "total":
             return batch.throughput()
         return batch.steady_state_throughput()
-    return np.array(
-        [_replication_value(run, estimator, rng) for rng in streams]
-    )
+    if estimator == "total":
+        return np.array([run(rng).throughput for rng in streams])
+    return np.array([run(rng).steady_state_throughput() for rng in streams])
 
 
 def replicate(
@@ -191,63 +149,18 @@ def replicate(
     n_replications: int,
     seed: int | Sequence[int] = 0,
     estimator: str = "total",
-    n_jobs: int = 1,
-    engine: str = "auto",
 ) -> ReplicationSummary:
     """Run ``n_replications`` independent simulations and summarize.
 
     ``run`` receives a child generator spawned from ``seed`` (independent
     streams). ``estimator`` selects ``"total"`` (paper's completed/total
-    time) or ``"steady"`` (warm-up discarded).
-
-    ``engine`` selects the execution strategy — ``"vectorized"`` batches
-    every replication through one numpy recurrence pass (requires ``run``
-    to be a :class:`ReplicationSpec`), ``"loop"`` forces one simulation
-    per replication, and ``"auto"`` vectorizes whenever it can. The
-    per-replication estimates are folded into the summary in stream
-    order, so every engine (and any ``n_jobs``) yields a bit-identical
-    summary for the same seed.
-
-    On the loop engine, ``n_jobs > 1`` fans the replications out over a
-    process pool; ``run`` must then be picklable (a module-level function,
-    a ``functools.partial`` thereof, or a :class:`ReplicationSpec`) to
-    cross the process boundary. The pickling probe only runs on that
-    parallel path — a serial or vectorized call never pays it — and a
-    non-picklable callable falls back to serial execution with a warning.
+    time) or ``"steady"`` (warm-up discarded). The summary folds
+    :func:`replication_values` in stream order.
     """
-    _check_common(n_replications, estimator)
-    if n_jobs < 1:
-        raise ValueError("n_jobs must be >= 1")
-    vectorized = _resolve_engine(run, engine)
-    if vectorized:
-        values: Sequence[float] = replication_values(
-            run,
-            n_replications=n_replications,
-            seed=seed,
-            estimator=estimator,
-            engine="vectorized",
-        )
-    else:
-        streams = np.random.default_rng(seed).spawn(n_replications)
-        n_jobs = min(n_jobs, n_replications)
-        worker = partial(_replication_value, run, estimator)
-        if n_jobs > 1 and not _picklable(run):
-            warnings.warn(
-                "replicate(): `run` is not picklable; falling back to serial "
-                "execution (pass a module-level function, functools.partial "
-                "or ReplicationSpec to enable n_jobs)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            n_jobs = 1
-        if n_jobs > 1:
-            chunksize = max(1, n_replications // (4 * n_jobs))
-            with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-                values = list(pool.map(worker, streams, chunksize=chunksize))
-        else:
-            values = [worker(rng) for rng in streams]
     stats = OnlineStats()
-    for value in values:
+    for value in replication_values(
+        run, n_replications=n_replications, seed=seed, estimator=estimator
+    ):
         stats.push(float(value))
     return ReplicationSummary(
         n_replications=n_replications,
@@ -257,14 +170,6 @@ def replicate(
         max=stats.max,
         ci95=normal_confidence_interval(stats.mean, stats.std, stats.n),
     )
-
-
-def _picklable(obj) -> bool:
-    try:
-        pickle.dumps(obj)
-    except Exception:
-        return False
-    return True
 
 
 def _dataset_count(value) -> int:

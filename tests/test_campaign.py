@@ -519,6 +519,38 @@ class TestRunner:
         # The healthy first scenario must not have burned any compute.
         assert len(store) == 0
 
+    @pytest.mark.parametrize(
+        "options,match",
+        [
+            ({"estimator": "median"}, "unknown estimator"),
+            ({"law": "cauchy"}, "unknown distribution family"),
+            ({"law": "gamma", "law_params": {"shapez": 0.5}}, "shapez"),
+        ],
+        ids=["estimator", "law", "law_params"],
+    )
+    def test_bad_simulation_option_fails_before_any_execution(
+        self, tmp_path, options, match
+    ):
+        spec = CampaignSpec(
+            name="badsim",
+            scenarios=[
+                tiny_spec().scenarios[0],
+                ScenarioSpec(
+                    name="badsim/simulation",
+                    system=SystemSpec(
+                        "single_communication", {"u": 2, "v": 2}
+                    ),
+                    solver="simulation",
+                    options={"n_datasets": 20, **options},
+                ),
+            ],
+        )
+        store = ResultStore(tmp_path / "bad.jsonl")
+        with pytest.raises(CampaignError, match=match) as info:
+            run_campaign(spec, store)
+        assert "scenario 'badsim/simulation'" in str(info.value)
+        assert len(store) == 0
+
     def test_record_seed_provenance(self, tmp_path):
         spec = CampaignSpec(
             name="prov",

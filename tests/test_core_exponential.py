@@ -12,7 +12,7 @@ from repro.core import (
     strict_exponential_throughput,
     tpn_exponential_throughput_scc,
 )
-from repro.exceptions import StructuralError, UnsupportedModelError
+from repro.exceptions import UnsupportedModelError
 from repro.mapping.examples import single_communication
 from repro.petri import build_overlap_tpn
 
@@ -134,31 +134,18 @@ class TestFrontDoor:
             strict_exponential_throughput(mp)
         )
 
-    def test_full_requires_capacity_for_overlap(self):
-        mp = make_mapping([[0], [1]])
-        with pytest.raises(StructuralError, match="buffer_capacity"):
-            exponential_throughput(mp, "overlap", method="full")
-
     def test_full_with_capacity_below_unbounded(self):
         mp = make_mapping([[0], [1]])
-        capped = exponential_throughput(
-            mp, "overlap", method="full", buffer_capacity=2
-        )
+        capped = exponential_throughput(mp, "overlap", buffer_capacity=2)
         unbounded = exponential_throughput(mp, "overlap")
         assert capped <= unbounded * (1 + 1e-9)
 
     def test_scc_method(self):
         mp = make_mapping([[0], [1, 2]])
-        assert exponential_throughput(mp, "overlap", method="scc") == pytest.approx(
+        scc = tpn_exponential_throughput_scc(build_overlap_tpn(mp))
+        assert scc == pytest.approx(
             exponential_throughput(mp, "overlap"), rel=1e-9
         )
-
-    def test_bad_method_rejected(self):
-        mp = make_mapping([[0]])
-        with pytest.raises(UnsupportedModelError):
-            exponential_throughput(mp, "strict", method="decomposition")
-        with pytest.raises(UnsupportedModelError):
-            exponential_throughput(mp, "overlap", method="???")
 
 
 class TestAgainstSimulation:

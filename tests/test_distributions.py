@@ -204,6 +204,25 @@ class TestRegistry:
         d = make_distribution("gamma", 1.0, shape=0.5)
         assert not d.is_nbue
 
+    @pytest.mark.parametrize(
+        "family,params,accepted",
+        [
+            # A misspelt DFR shape must not silently give the N.B.U.E.
+            # default gamma.
+            ("gamma", {"shapez": 0.5}, "shape"),
+            ("uniform", {"rel_halfwidth": 0.1}, "rel_half_width"),
+            ("exponential", {"shape": 0.5}, "no parameters"),
+            ("erlang", {"k": 3, "shape": 2.0}, "k"),
+        ],
+        ids=["gamma", "uniform", "exponential", "erlang"],
+    )
+    def test_unknown_parameter_rejected(self, family, params, accepted):
+        with pytest.raises(InvalidDistributionError) as info:
+            make_distribution(family, 2.0, **params)
+        message = str(info.value)
+        assert repr(family) in message
+        assert f"takes {accepted}" in message
+
     def test_shape_factory(self):
         f = shape_factory("gamma", shape=0.5)
         assert f(3.0).mean == pytest.approx(3.0)

@@ -21,7 +21,7 @@ from repro.evaluate import (
     mapping_fingerprint,
     structure_fingerprint,
 )
-from repro.exceptions import UnsupportedModelError
+from repro.exceptions import InvalidDistributionError, UnsupportedModelError
 from repro.mapping.examples import example_a, single_communication
 from repro.mapping.generators import random_mapping
 from repro.markov.builder import tpn_throughput_exponential
@@ -54,6 +54,30 @@ class TestRegistry:
     def test_options_configure_the_instance(self):
         solver = get_solver("deterministic", semantics="bottleneck")
         assert solver.semantics == "bottleneck"
+
+    def test_simulation_solver_checks_estimator_and_law_when_built(self):
+        # A single-run solver used to score an unknown estimator as
+        # "total", and a bad law raised only at solve time.
+        with pytest.raises(ValueError, match="unknown estimator 'median'"):
+            get_solver("simulation", n_datasets=200, estimator="median")
+        with pytest.raises(
+            InvalidDistributionError, match="unknown distribution family"
+        ):
+            get_solver("simulation", law="cauchy")
+        with pytest.raises(InvalidDistributionError, match="shapez"):
+            get_solver("simulation", law="gamma", law_params={"shapez": 0.5})
+        solver = get_solver(
+            "simulation", law="gamma", law_params={"shape": 0.5},
+            estimator="steady",
+        )
+        assert solver.law_params == (("shape", 0.5),)
+
+    def test_removed_path_selectors_rejected(self):
+        # The input picks each path; no solver takes a selector for it.
+        with pytest.raises(TypeError, match="engine"):
+            get_solver("simulation", engine="vectorized")
+        with pytest.raises(TypeError, match="method"):
+            get_solver("exponential", method="full")
 
 
 class TestSolverAgreement:

@@ -1,15 +1,12 @@
 """Kernel-layer equivalence tests.
 
-The vectorized reachability BFS, the simulator fast path and the parallel
-replication runner are all re-implementations of seed code kept in-tree
-as reference oracles; these tests pin them to the oracles bit-for-bit,
-on hand-built nets, on builder output, and on randomly generated bounded
-event graphs.
+The vectorized reachability BFS and the simulator fast path are both
+re-implementations of seed code kept in-tree as reference oracles; these
+tests pin them to the oracles bit-for-bit, on hand-built nets, on builder
+output, and on randomly generated bounded event graphs.
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 import numpy as np
 import pytest
@@ -22,7 +19,7 @@ from repro.petri import (
 )
 from repro.petri.net import TimedEventGraph
 from repro.petri.reachability import MAX_PLACE_BOUND
-from repro.sim import replicate, simulate_tpn
+from repro.sim import simulate_tpn
 from repro.types import PlaceKind, TransitionKind
 
 from tests.conftest import make_mapping
@@ -204,39 +201,6 @@ class TestSimulatorEngines:
         tpn = build_strict_tpn(make_mapping([[0], [1]]))
         with pytest.raises(ValueError, match="engine"):
             simulate_tpn(tpn, n_datasets=1, engine="turbo")
-
-
-def _replication_run(tpn, rng):
-    return simulate_tpn(tpn, n_datasets=120, rng=rng)
-
-
-class TestParallelReplicate:
-    def test_n_jobs_bit_identical(self):
-        tpn = build_strict_tpn(make_mapping([[0], [1, 2]], seed=5))
-        run = partial(_replication_run, tpn)
-        serial = replicate(run, n_replications=8, seed=17)
-        parallel = replicate(run, n_replications=8, seed=17, n_jobs=2)
-        assert parallel == serial  # frozen dataclass: exact float equality
-
-    def test_n_jobs_capped_by_replications(self):
-        tpn = build_strict_tpn(make_mapping([[0], [1]]))
-        run = partial(_replication_run, tpn)
-        assert replicate(run, n_replications=1, seed=3, n_jobs=8) == replicate(
-            run, n_replications=1, seed=3
-        )
-
-    def test_unpicklable_run_falls_back_to_serial(self):
-        tpn = build_strict_tpn(make_mapping([[0], [1]]))
-        run = lambda rng: simulate_tpn(tpn, n_datasets=50, rng=rng)  # noqa: E731
-        serial = replicate(run, n_replications=3, seed=2)
-        with pytest.warns(RuntimeWarning, match="not picklable"):
-            parallel = replicate(run, n_replications=3, seed=2, n_jobs=4)
-        assert parallel == serial
-
-    def test_invalid_n_jobs(self):
-        tpn = build_strict_tpn(make_mapping([[0], [1]]))
-        with pytest.raises(ValueError, match="n_jobs"):
-            replicate(partial(_replication_run, tpn), n_replications=2, n_jobs=0)
 
 
 class TestErrorParity:

@@ -168,8 +168,7 @@ class TestTpnBridge:
         target = overlap_throughput(mp, "exponential")
         values = [
             exponential_throughput(
-                mp, "overlap", method="full", buffer_capacity=cap,
-                max_states=400_000,
+                mp, "overlap", buffer_capacity=cap, max_states=400_000
             )
             for cap in (1, 2, 4, 8)
         ]

@@ -58,6 +58,19 @@ class TestTokenGraph:
         g2.add_arc(1, 0, weight=1.0, tokens=1)
         assert not g2.has_zero_token_cycle()
 
+    def test_zero_token_order(self):
+        g = TokenGraph(4)
+        g.add_arc(2, 0, weight=1.0, tokens=0)
+        g.add_arc(0, 3, weight=1.0, tokens=0)
+        g.add_arc(1, 3, weight=1.0, tokens=0)
+        g.add_arc(3, 2, weight=1.0, tokens=1)  # marked: no constraint
+        order = g.zero_token_order()
+        assert sorted(order) == [0, 1, 2, 3]
+        position = {v: i for i, v in enumerate(order)}
+        assert all(position[a.src] < position[a.dst] for a in g if not a.tokens)
+        g.add_arc(3, 2, weight=1.0, tokens=0)  # closes 2 -> 0 -> 3 -> 2
+        assert g.zero_token_order() is None
+
 
 def _simple_cycle_graph() -> TokenGraph:
     """Two nested cycles with known ratios 3.0 and 2.0."""

@@ -93,6 +93,18 @@ class TestDater:
         d = dater_evolution(tpn, 5)
         assert np.allclose(d[0], [2.0, 4.0, 6.0, 8.0, 10.0])
 
+    def test_dead_net_rejected(self):
+        from repro.petri.net import TimedEventGraph
+        from repro.types import PlaceKind, TransitionKind
+
+        net = TimedEventGraph(n_rows=1, n_columns=2)
+        t0 = net.add_transition(TransitionKind.COMPUTE, 0, 0, 0, ("cpu", 0), 1.0)
+        t1 = net.add_transition(TransitionKind.COMPUTE, 1, 0, 1, ("cpu", 1), 1.0)
+        net.add_place(t0, t1, 0, PlaceKind.FLOW)
+        net.add_place(t1, t0, 0, PlaceKind.FLOW)
+        with pytest.raises(StructuralError, match="not live"):
+            dater_evolution(net, 3)
+
     def test_deterministic_throughput_matches_mcr(self):
         """lim k / D(k) equals the critical-cycle throughput."""
         from repro.core import tpn_throughput_deterministic

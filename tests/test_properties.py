@@ -26,6 +26,8 @@ from repro.exceptions import StructuralError
 from repro.mapping.roundrobin import all_paths, lcm_all
 from repro.maxplus import TokenGraph, max_cycle_ratio, max_cycle_ratio_brute_force
 from repro.petri import build_overlap_tpn, build_strict_tpn, is_feed_forward, is_live
+from repro.sim import ReplicationSpec, replication_values
+from repro.sim.sampling import LawSpec
 
 from tests.conftest import make_mapping
 
@@ -312,6 +314,59 @@ class TestTpnProperties:
         for model in ("overlap", "strict"):
             report = analyze_critical_resource(mp, model)
             assert report.actual_throughput <= report.bound_throughput * (1 + 1e-9)
+
+
+# ----------------------------------------------------------------------
+# Replication identity (the batch kernel against the per-stream loop)
+# ----------------------------------------------------------------------
+class TestReplicationProperties:
+    LAWS = [
+        "deterministic",
+        "exponential",
+        LawSpec.of("gamma", shape=0.5),
+        LawSpec.of("uniform", rel_half_width=0.5),
+    ]
+
+    @given(
+        short_replications,
+        st.integers(0, 2 ** 16),
+        st.sampled_from(["overlap", "strict"]),
+        st.sampled_from(LAWS),
+        st.sampled_from(["independent", "associated"]),
+        st.sampled_from(["total", "steady"]),
+        st.integers(1, 6),
+        st.integers(1, 40),
+    )
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_spec_values_match_per_stream_loop(
+        self, reps, seed, model, law, correlation, estimator, n_replications,
+        n_datasets,
+    ):
+        """A spec's batched values are the bytes of its per-stream runs.
+
+        ``replication_values`` runs a :class:`ReplicationSpec` as one
+        ``simulate_system_batch`` pass; calling the spec once per stream
+        spawned from the same seed must give the same vector, bit for
+        bit, whatever the shape of the study. ``seed`` draws the platform
+        and seeds the streams.
+        """
+        spec = ReplicationSpec(
+            mapping_from_replication(reps, seed=seed),
+            model,
+            n_datasets=n_datasets,
+            law=law,
+            correlation=correlation,
+        )
+        streams = np.random.default_rng(seed).spawn(n_replications)
+        runs = [spec(rng) for rng in streams]
+        if estimator == "total":
+            loop = np.array([r.throughput for r in runs])
+        else:
+            loop = np.array([r.steady_state_throughput() for r in runs])
+        values = replication_values(
+            spec, n_replications=n_replications, seed=seed, estimator=estimator
+        )
+        assert values.tobytes() == loop.tobytes()
 
 
 # ----------------------------------------------------------------------

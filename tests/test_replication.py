@@ -1,9 +1,10 @@
-"""The batched replication engine and its equivalence contract (PR 5).
+"""The batched replication kernel and its equivalence contract.
 
-The vectorized engine evaluates every replication of the Section 2
-recurrences in one numpy pass; these tests pin its bit-identity to the
-per-replication loop across models, laws, correlation modes and
-degenerate shapes, plus the runner/solver plumbing around it.
+A :class:`~repro.sim.runner.ReplicationSpec` runs every replication of
+the Section 2 recurrences in one numpy pass; these tests pin its
+bit-identity to the per-stream loop ``[spec(rng) for rng in streams]``
+across models, laws, correlation modes and degenerate shapes, plus the
+runner/solver plumbing around it.
 """
 
 from __future__ import annotations
@@ -14,10 +15,14 @@ import numpy as np
 import pytest
 
 from repro.evaluate import evaluate, get_solver
+from repro.evaluate.fingerprint import fingerprint_digest, mapping_fingerprint
 from repro.experiments.fig10 import paper_system
 from repro.mapping.examples import single_communication, uniform_chain
 from repro.sim import (
+    OnlineStats,
     ReplicationSpec,
+    ReplicationSummary,
+    normal_confidence_interval,
     replicate,
     replication_values,
     simulate_system,
@@ -32,6 +37,12 @@ from tests.conftest import make_mapping
 def _paper_like():
     """A small replicated pipeline in the shape of the Fig. 10 system."""
     return uniform_chain([1, 3, 2], work=4.0, file_size=2.0)
+
+
+def _per_stream(spec, n_replications, seed):
+    """The spec run once per spawned stream: the batch kernel's oracle."""
+    streams = np.random.default_rng(seed).spawn(n_replications)
+    return [spec(rng) for rng in streams]
 
 
 class TestBatchKernelBitIdentity:
@@ -130,34 +141,19 @@ class TestReplicationValues:
             ), 32, 11),
         ]
         for spec, n_replications, seed in studies:
-            loop = replication_values(
-                spec, n_replications=n_replications, seed=seed,
-                estimator=estimator, engine="loop",
-            )
+            results = _per_stream(spec, n_replications, seed)
+            if estimator == "total":
+                loop = np.array([r.throughput for r in results])
+            else:
+                loop = np.array([r.steady_state_throughput() for r in results])
             vec = replication_values(
                 spec, n_replications=n_replications, seed=seed,
-                estimator=estimator, engine="vectorized",
+                estimator=estimator,
             )
             assert loop.tobytes() == vec.tobytes()
 
-    def test_auto_prefers_vectorized_for_spec(self):
-        spec = ReplicationSpec(
-            single_communication(2, 3), n_datasets=50, law="exponential"
-        )
-        auto = replication_values(spec, n_replications=4, seed=0)
-        vec = replication_values(
-            spec, n_replications=4, seed=0, engine="vectorized"
-        )
-        assert auto.tobytes() == vec.tobytes()
-
     def test_engine_validation(self):
         spec = ReplicationSpec(make_mapping([[0]]), n_datasets=5)
-        with pytest.raises(ValueError, match="unknown engine"):
-            replication_values(spec, n_replications=2, engine="warp")
-        with pytest.raises(ValueError, match="ReplicationSpec"):
-            replication_values(
-                lambda rng: None, n_replications=2, engine="vectorized"
-            )
         with pytest.raises(ValueError, match="unknown estimator"):
             replication_values(spec, n_replications=2, estimator="median")
 
@@ -173,15 +169,20 @@ class TestReplicateEngines:
             spec = ReplicationSpec(
                 mapping, "overlap", n_datasets=n_datasets, law="exponential"
             )
-            loop = replicate(
-                spec, n_replications=n_replications, seed=seed, engine="loop"
+            loop = OnlineStats()
+            for result in _per_stream(spec, n_replications, seed):
+                loop.push(result.throughput)
+            expected = ReplicationSummary(
+                n_replications=n_replications,
+                mean=loop.mean,
+                std=loop.std,
+                min=loop.min,
+                max=loop.max,
+                ci95=normal_confidence_interval(loop.mean, loop.std, loop.n),
             )
-            vec = replicate(
-                spec, n_replications=n_replications, seed=seed,
-                engine="vectorized",
-            )
-            auto = replicate(spec, n_replications=n_replications, seed=seed)
-            assert loop == vec == auto
+            assert replicate(
+                spec, n_replications=n_replications, seed=seed
+            ) == expected
 
     def test_callable_still_works_via_auto(self):
         mp = single_communication(2, 3)
@@ -211,7 +212,7 @@ class TestReplicateEngines:
         assert np.array_equal(a.completion_times, b.completion_times)
 
     def test_no_pickle_probe_when_serial(self):
-        """The picklability probe must only run on the n_jobs > 1 path."""
+        """An opaque callable runs in this process: never pickled."""
         mp = single_communication(2, 2)
 
         class Unpicklable:
@@ -224,26 +225,9 @@ class TestReplicateEngines:
                 raise AssertionError("pickled on the serial path")
 
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the fallback warning = failure
+            warnings.simplefilter("error")  # any warning fails the test
             summary = replicate(Unpicklable(), n_replications=2, seed=0)
         assert summary.n_replications == 2
-
-    def test_unpicklable_parallel_falls_back_with_warning(self):
-        mp = single_communication(2, 2)
-        run = lambda rng: simulate_system(  # noqa: E731 - deliberately local
-            mp, "overlap", n_datasets=10, law="exponential", rng=rng
-        )
-        with pytest.warns(RuntimeWarning, match="not picklable"):
-            parallel = replicate(run, n_replications=3, seed=1, n_jobs=2)
-        serial = replicate(run, n_replications=3, seed=1)
-        assert parallel == serial
-
-    def test_engine_loop_forces_loop_for_spec(self):
-        spec = ReplicationSpec(
-            single_communication(2, 3), n_datasets=30, law="exponential"
-        )
-        assert replicate(spec, n_replications=3, seed=2, engine="loop") == \
-            replicate(spec, n_replications=3, seed=2, engine="vectorized")
 
 
 class TestSpecAndSweep:
@@ -305,17 +289,20 @@ class TestSampleBufferBlocks:
 class TestSimulationSolverReplication:
     def test_engines_agree_and_mean_matches_manual(self):
         mp = single_communication(3, 4)
-        loop = evaluate(
+        value = evaluate(
             mp, solver="simulation", n_datasets=60, n_replications=5,
-            engine="loop",
         )
-        vec = evaluate(
-            mp, solver="simulation", n_datasets=60, n_replications=5,
-            engine="vectorized",
-        )
-        assert loop == vec
         solver = get_solver("simulation", n_datasets=60, n_replications=5)
-        assert solver.solve(mp) == loop
+        assert solver.solve(mp) == value
+        # The solver spawns its streams from [seed, timing digest].
+        digest = fingerprint_digest(mapping_fingerprint(mp, "overlap"))
+        spec = ReplicationSpec(
+            mp, "overlap", n_datasets=60, law=LawSpec.of("exponential")
+        )
+        loop = OnlineStats()
+        for result in _per_stream(spec, 5, [solver.seed, digest]):
+            loop.push(result.throughput)
+        assert value == loop.mean
 
     def test_single_run_unchanged(self):
         mp = single_communication(3, 4)

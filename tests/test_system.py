@@ -92,9 +92,13 @@ class TestFacade:
         with pytest.raises(ValueError):
             StreamingSystem(mp).simulate(n_datasets=10, engine="???")
 
-    def test_exponential_method_passthrough(self):
+    def test_exponential_options_passthrough(self):
+        from repro.core import exponential_throughput
+
         mp = make_mapping([[0], [1, 2]])
         s = StreamingSystem(mp, "overlap")
-        assert s.exponential_throughput(method="scc") == pytest.approx(
-            s.exponential_throughput(), rel=1e-9
+        capped = s.exponential_throughput(buffer_capacity=2)
+        assert capped == exponential_throughput(
+            mp, "overlap", buffer_capacity=2
         )
+        assert capped < s.exponential_throughput()
