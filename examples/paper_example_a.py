@@ -15,13 +15,13 @@ Run: ``python examples/paper_example_a.py``
 """
 
 from repro import StreamingSystem
-from repro.core import scc_rates_deterministic
 from repro.mapping import example_a, max_cycle_time
 from repro.petri import (
     build_overlap_tpn,
     build_strict_tpn,
     is_feed_forward,
     is_strongly_connected,
+    strongly_connected_components,
 )
 
 
@@ -40,14 +40,11 @@ def main() -> None:
     print(f"Strict TPN:  {strict}")
     print(f"  strongly connected: {is_strongly_connected(strict)}")
 
-    comps, inner, effective = scc_rates_deterministic(overlap)
+    comps = strongly_connected_components(overlap)
     print(f"\nOverlap SCCs: {len(comps)} components")
 
     for model in ("overlap", "strict"):
-        sys_ = StreamingSystem(mp, model)
-        rho = sys_.deterministic_throughput(
-            semantics="bottleneck" if model == "overlap" else "unbounded"
-        )
+        rho = StreamingSystem(mp, model).deterministic_throughput()
         mct = max_cycle_time(mp, model)
         gap = (1 / mct - rho) / (1 / mct)
         print(

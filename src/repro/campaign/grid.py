@@ -121,7 +121,7 @@ def expand_scenario(
             raise CampaignError(
                 f"scenario {scenario.name!r}: solver {solver!r} does not "
                 f"accept option(s) {', '.join(sorted(unknown))}; "
-                f"allowed: {', '.join(allowed)}{hint}"
+                f"allowed: {', '.join(allowed) or 'none'}{hint}"
             )
         system = scenario.system.with_params(system_overrides)
         stochastic = solver_is_stochastic(solver) and "seed" not in options

@@ -83,14 +83,16 @@ def _system_choices() -> tuple[str, ...]:
 
 
 def _cmd_solve(args, parser) -> int:
-    from repro.evaluate import StructureCache, evaluate, get_solver
+    from repro.evaluate import StructureCache, evaluate, get_solver, solver_options
     from repro.mapping.examples import named_system
 
     mapping = named_system(args.system)
     if args.solver == "simulation":
         options = {"n_datasets": args.n_datasets, "seed": args.sim_seed}
+    elif "max_states" in solver_options(args.solver):
+        options = {"max_states": args.max_states}
     else:
-        options = {"max_states": args.max_states, "semantics": args.semantics}
+        options = {}
     cache = StructureCache()
     if args.solver == "bounds":
         bounds = get_solver("bounds", **options).bounds(
@@ -1346,9 +1348,10 @@ def main(argv: list[str] | None = None) -> int:
         "--model", choices=("overlap", "strict"), default="overlap"
     )
     solvep.add_argument(
-        "--semantics", choices=("unbounded", "bottleneck"), default="unbounded"
+        "--max-states", type=int, default=200_000,
+        help="state cap of the chains of the solvers that take one "
+        "(default: %(default)s)",
     )
-    solvep.add_argument("--max-states", type=int, default=200_000)
     solvep.add_argument(
         "--n-datasets", type=int, default=1_000,
         help="simulation solver: data sets per run (default: %(default)s)",

@@ -1,11 +1,6 @@
 """Throughput algorithms — the paper's primary contribution."""
 
-from repro.core.deterministic import (
-    round_period,
-    scc_rates_deterministic,
-    tpn_throughput_classic,
-    tpn_throughput_deterministic,
-)
+from repro.core.deterministic import round_period, tpn_throughput_deterministic
 from repro.core.pattern import (
     CommPattern,
     build_pattern_tpn,
@@ -45,8 +40,6 @@ from repro.core.system import StreamingSystem
 
 __all__ = [
     "round_period",
-    "scc_rates_deterministic",
-    "tpn_throughput_classic",
     "tpn_throughput_deterministic",
     "CommPattern",
     "build_pattern_tpn",

@@ -10,28 +10,23 @@ unrolling the ``m = lcm(R_i)`` rows*:
   one per residue ``r mod g_i``; component ``r`` stacks copies of the
   ``(R_i/g_i) × (R_{i+1}/g_i)`` pattern of :mod:`repro.core.pattern`.
 
-Throughputs compose over the DAG by the bottleneck rule (the standard
-saturation property of feed-forward event graphs): a component's actual
-rate is the min of its *inner* rate and its predecessors' rates. To make
-rates comparable across components handling different row subsets, every
-rate is normalized to the **full-stream equivalent** ``z`` — the global
-data-set rate the system would sustain if that component were the only
-constraint:
+Every rate is normalized to the **full-stream equivalent** ``z`` — ``m``
+times the component's per-transition rate, i.e. the global data-set rate
+the system would sustain if that component were the only constraint:
 
 * processor ``p`` of stage ``i``: ``z = R_i · λ_p`` (exponential) or
   ``R_i / c_p`` (deterministic);
 * communication component: ``z = g · (pattern inner throughput)``.
 
-The global throughput is then ``ρ = (1/R_N) · Σ_{p ∈ Team_N} z*_{cpu(N,p)}``
-with ``z*`` the min-composed values — which degrades gracefully to the
-plain bottleneck ``min`` when all last-stage components see the same
-bottleneck, and captures heterogeneous-branch effects otherwise.
+The throughput is the smallest ``z``. Data set ``n`` follows row
+``n mod m``, so the slowest component paces every row (Section 4's
+``ρ = m / P``), and the value never exceeds ``1 / Mct``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core import pattern as pat
 from repro.exceptions import UnsupportedModelError
@@ -47,37 +42,19 @@ class Component:
     slot: int  # team position (cpu) or residue class (comm)
     label: str
     inner_z: float  # full-stream-equivalent inner throughput
-    preds: list[int] = field(default_factory=list)
-    effective_z: float = math.nan  # filled by compose()
-
-    @property
-    def is_bottlenecked(self) -> bool:
-        """Whether an upstream component limits this one."""
-        return self.effective_z < self.inner_z
 
 
 @dataclass
 class ComponentDAG:
-    """All components in topological (column) order plus the final answers.
+    """All components in column order, and the throughput they set.
 
-    Two throughput semantics are reported (see DESIGN.md §3.2):
-
-    * ``throughput`` — *unbounded-buffer* value: branch rates compose by
-      min over each branch's own predecessors and sum at the last stage
-      (the paper's Theorem 3/4 formula). Non-bottleneck branches are not
-      slowed, at the price of linearly growing buffers.
-    * ``bottleneck_throughput`` — ``min`` of all inner rates, i.e. the
-      paper's Section 4 critical-cycle value ``m / P``; also the steady
-      state of any finite-buffer realization, where back-pressure paces
-      every round-robin loop at the slowest component.
-
-    They coincide whenever the global bottleneck lies on every path to the
-    last stage — in particular on all the paper's experimental systems.
+    ``throughput`` is the smallest inner rate: Section 4's critical-cycle
+    value ``m / P``, reached by the in-order stream that the round-robin
+    distribution imposes.
     """
 
     components: list[Component]
     throughput: float
-    bottleneck_throughput: float
     mapping: Mapping
 
     def bottleneck(self) -> Component:
@@ -138,7 +115,7 @@ def _comm_inner_z(
 def overlap_component_dag(
     mapping: Mapping, mode: str, *, max_states: int = 200_000
 ) -> ComponentDAG:
-    """Build the symbolic component DAG and compose throughputs.
+    """Enumerate the symbolic components and take the smallest rate.
 
     ``mode`` is ``"deterministic"`` or ``"exponential"``. Cost is
     polynomial except for heterogeneous communication patterns in
@@ -147,88 +124,47 @@ def overlap_component_dag(
     """
     if mode not in ("deterministic", "exponential"):
         raise UnsupportedModelError(f"unknown mode {mode!r}")
-    n = mapping.n_stages
     comps: list[Component] = []
-    index: dict[tuple, int] = {}
-
-    def add(c: Component, key: tuple) -> int:
-        index[key] = len(comps)
-        comps.append(c)
-        return index[key]
-
-    for i in range(n):
+    for i in range(mapping.n_stages):
         # Computation column i.
         for slot, p in enumerate(mapping.teams[i]):
-            c = Component(
-                kind="cpu",
-                stage=i,
-                slot=slot,
-                label=f"T{i + 1}@P{p}",
-                inner_z=_cpu_inner_z(mapping, i, p, mode),
-            )
-            add(c, ("cpu", i, slot))
-            if i > 0:
-                g_prev = mapping.comm_component_count(i - 1)
-                c.preds.append(index[("comm", i - 1, slot % g_prev)])
-        # Communication column i (between stages i and i+1).
-        if i < n - 1:
-            g = mapping.comm_component_count(i)
-            for r in range(g):
-                c = Component(
-                    kind="comm",
+            comps.append(
+                Component(
+                    kind="cpu",
                     stage=i,
-                    slot=r,
-                    label=f"F{i + 1}#%d" % r,
-                    inner_z=_comm_inner_z(
-                        mapping, i, r, mode, max_states=max_states
-                    ),
+                    slot=slot,
+                    label=f"T{i + 1}@P{p}",
+                    inner_z=_cpu_inner_z(mapping, i, p, mode),
                 )
-                add(c, ("comm", i, r))
-                for slot in range(mapping.replication[i]):
-                    if slot % g == r:
-                        c.preds.append(index[("cpu", i, slot)])
-
-    # Bottleneck composition in construction (= topological) order.
-    for c in comps:
-        z = c.inner_z
-        for pid in c.preds:
-            z = min(z, comps[pid].effective_z)
-        c.effective_z = z
-
-    r_n = mapping.replication[-1]
-    rho = (
-        sum(
-            comps[index[("cpu", n - 1, slot)]].effective_z for slot in range(r_n)
-        )
-        / r_n
-    )
-    bottleneck = min(c.inner_z for c in comps)
+            )
+        # Communication column i (between stages i and i+1).
+        if i < mapping.n_stages - 1:
+            for r in range(mapping.comm_component_count(i)):
+                comps.append(
+                    Component(
+                        kind="comm",
+                        stage=i,
+                        slot=r,
+                        label=f"F{i + 1}#%d" % r,
+                        inner_z=_comm_inner_z(
+                            mapping, i, r, mode, max_states=max_states
+                        ),
+                    )
+                )
     return ComponentDAG(
         components=comps,
-        throughput=rho,
-        bottleneck_throughput=bottleneck,
+        throughput=min(c.inner_z for c in comps),
         mapping=mapping,
     )
 
 
 def overlap_throughput(
-    mapping: Mapping,
-    mode: str,
-    *,
-    semantics: str = "unbounded",
-    max_states: int = 200_000,
+    mapping: Mapping, mode: str, *, max_states: int = 200_000
 ) -> float:
     """Overlap-model throughput by symbolic decomposition.
 
     Deterministic mode realizes Section 4.1; exponential mode realizes
-    Theorems 3/4 (polynomial when communications are homogeneous).
-    ``semantics`` selects ``"unbounded"`` (Theorem 3/4 composition,
-    default) or ``"bottleneck"`` (Section 4's ``m / P``; the finite-buffer
-    steady state) — see :class:`ComponentDAG`.
+    Theorems 3/4 (polynomial when communications are homogeneous). Both
+    return the smallest inner rate (see :class:`ComponentDAG`).
     """
-    dag = overlap_component_dag(mapping, mode, max_states=max_states)
-    if semantics == "unbounded":
-        return dag.throughput
-    if semantics == "bottleneck":
-        return dag.bottleneck_throughput
-    raise UnsupportedModelError(f"unknown semantics {semantics!r}")
+    return overlap_component_dag(mapping, mode, max_states=max_states).throughput

@@ -11,15 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.exceptions import UnsupportedModelError
 from repro.mapping.mapping import Mapping
 from repro.mapping.resources import critical_resource, max_cycle_time
 from repro.types import ExecutionModel
 from repro.core.components import overlap_throughput
-from repro.core.deterministic import (
-    tpn_throughput_classic,
-    tpn_throughput_deterministic,
-)
+from repro.core.deterministic import tpn_throughput_deterministic
 from repro.petri.builder_strict import build_strict_tpn
 
 #: ``critical_resource`` and ``max_cycle_time`` come from
@@ -64,34 +60,21 @@ class CriticalResourceReport:
 
 
 def deterministic_throughput(
-    mapping: Mapping,
-    model: ExecutionModel | str,
-    *,
-    semantics: str = "unbounded",
+    mapping: Mapping, model: ExecutionModel | str
 ) -> float:
-    """Deterministic throughput under either model (convenience wrapper).
+    """Deterministic throughput under either model: Section 4's ``m / P``.
 
-    ``semantics`` chooses, under both models, between the unbounded-buffer
-    composition (default: Theorem 3/4 style for Overlap, see
-    :class:`repro.core.components.ComponentDAG`; per-SCC rates composed
-    through the condensation for Strict) and the ``"bottleneck"``
-    critical cycle of the whole net, Section 4's ``m / P``, which never
-    exceeds ``1 / Mct``. Any other name raises
-    :class:`~repro.exceptions.UnsupportedModelError`.
-
-    Both coincide on a strongly connected net, but a Strict net need not
-    be one: replication (3, 3), for example, splits it into three
-    independent rows, and the composition then sums their rates past
-    ``1 / Mct``.
+    Overlap takes the smallest inner rate of the symbolic components
+    (:func:`repro.core.components.overlap_throughput`), Strict the
+    critical cycle of the whole net. Data set ``n`` follows row
+    ``n mod m``, so the slowest component paces every row and the value
+    never exceeds ``1 / Mct``, also on a Strict net that splits into
+    independent rows, as replication (3, 3) does.
     """
     model = ExecutionModel.coerce(model)
     if model is ExecutionModel.OVERLAP:
-        return overlap_throughput(mapping, "deterministic", semantics=semantics)
-    if semantics == "bottleneck":
-        return tpn_throughput_classic(build_strict_tpn(mapping))
-    if semantics == "unbounded":
-        return tpn_throughput_deterministic(build_strict_tpn(mapping))
-    raise UnsupportedModelError(f"unknown semantics {semantics!r}")
+        return overlap_throughput(mapping, "deterministic")
+    return tpn_throughput_deterministic(build_strict_tpn(mapping))
 
 
 def analyze_critical_resource(
@@ -106,14 +89,14 @@ def analyze_critical_resource(
     whose ``relative_gap`` is strictly positive: the achieved period is
     longer than every resource's cycle-time. Following the paper's tooling
     (ERS ``scscyc`` computes the critical cycle of the whole net), the
-    actual throughput uses the bottleneck semantics ``ρ = m / P``.
+    actual throughput is ``ρ = m / P``.
     """
     model = ExecutionModel.coerce(model)
     crit = critical_resource(
         mapping, model, use_slowest_teammate=use_slowest_teammate
     )
     mct = crit.exec_time(model)
-    rho = deterministic_throughput(mapping, model, semantics="bottleneck")
+    rho = deterministic_throughput(mapping, model)
     return CriticalResourceReport(
         model=model,
         mct=mct,

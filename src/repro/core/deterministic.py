@@ -1,21 +1,15 @@
 """Deterministic (static) throughput computation (paper Section 4).
 
-Two equivalent views are implemented:
+Two views of the same value are implemented:
 
 * :func:`tpn_throughput_deterministic` — works on any unrolled timed event
-  graph (both models). Strongly connected components are condensed; each
-  SCC's *inner* per-transition rate is the inverse of its maximum cycle
-  ratio (critical cycle, computed as ERS' ``scscyc`` does); rates compose
-  through the condensation DAG by the bottleneck rule, and the throughput
-  sums the effective rates of the last column. For a strongly connected
-  net (the usual Strict case) this collapses to the paper's
-  ``ρ = m / P`` with ``P`` the critical-cycle ratio.
+  graph (both models): the paper's ``ρ = m / P`` with ``P`` the net's
+  critical-cycle ratio (computed as ERS' ``scscyc`` does), one kernel
+  call on the whole net;
 * :func:`repro.core.components.overlap_throughput` — the symbolic Overlap
   path that never unrolls the net (Section 4.1's column argument).
 
-:func:`round_period` exposes the raw critical-cycle ratio ``P`` ("every
-transition fires exactly once per period of length P", valid verbatim on
-strongly connected nets).
+:func:`round_period` exposes the raw critical-cycle ratio ``P``.
 """
 
 from __future__ import annotations
@@ -24,15 +18,16 @@ import math
 
 from repro.exceptions import StructuralError
 from repro.maxplus.cycle import max_cycle_ratio
-from repro.petri.analysis import condensation_edges, subnet
 from repro.petri.net import TimedEventGraph
 
 
 def round_period(tpn: TimedEventGraph) -> float:
     """Critical-cycle ratio ``P = max_C weight(C)/tokens(C)`` of the net.
 
-    On a strongly connected net, every transition fires exactly once per
-    ``P`` in the periodic regime, so the throughput is ``m / P``.
+    Every transition of the slowest strongly connected component fires
+    once per ``P`` in the periodic regime. Data set ``n`` follows row
+    ``n mod m``, so that component paces every row, strongly connected
+    net or not, and the throughput is ``m / P``.
     """
     res = max_cycle_ratio(tpn.to_token_graph())
     if res is None:
@@ -40,54 +35,10 @@ def round_period(tpn: TimedEventGraph) -> float:
     return res.ratio
 
 
-def scc_rates_deterministic(
-    tpn: TimedEventGraph,
-) -> tuple[list[list[int]], list[float], list[float]]:
-    """Per-SCC inner and effective (bottleneck-composed) firing rates.
-
-    Returns ``(components, inner, effective)`` with components in
-    topological order; rates are per-transition (every transition of a
-    strongly connected component fires at the same asymptotic rate).
-    """
-    comps, edges = condensation_edges(tpn)
-    inner: list[float] = []
-    for members in comps:
-        sub, _ = subnet(tpn, members)
-        res = max_cycle_ratio(sub.to_token_graph())
-        if res is None or res.ratio == 0.0:
-            inner.append(math.inf)
-        else:
-            inner.append(1.0 / res.ratio)
-    effective = list(inner)
-    preds: list[list[int]] = [[] for _ in comps]
-    for u, v in edges:
-        preds[v].append(u)
-    for v in range(len(comps)):
-        for u in preds[v]:
-            effective[v] = min(effective[v], effective[u])
-    return comps, inner, effective
-
-
 def tpn_throughput_deterministic(tpn: TimedEventGraph) -> float:
-    """Deterministic throughput of an unrolled net (either model).
+    """Deterministic throughput ``m / P`` of an unrolled net (either model).
 
-    Sums, over the last-column transitions, the effective per-transition
-    rate of their component.
+    Infinite when every cycle takes no time.
     """
-    comps, _, effective = scc_rates_deterministic(tpn)
-    comp_of = {}
-    for cid, members in enumerate(comps):
-        for t in members:
-            comp_of[t] = cid
-    return float(
-        sum(effective[comp_of[t]] for t in tpn.last_column_transitions())
-    )
-
-
-def tpn_throughput_classic(tpn: TimedEventGraph) -> float:
-    """The paper's ``ρ = m / P`` (Section 4), valid verbatim when the net
-    is strongly connected; on feed-forward nets it returns the
-    bottleneck-limited value, which can *under*-estimate the throughput of
-    heterogeneous branches (see DESIGN.md §3.2).
-    """
-    return tpn.n_rows / round_period(tpn)
+    period = round_period(tpn)
+    return math.inf if period == 0.0 else tpn.n_rows / period

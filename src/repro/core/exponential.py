@@ -1,18 +1,22 @@
 """Exponential-times throughput computation (paper Section 5).
 
-Three evaluators, in increasing generality / cost:
+Every evaluator reports what the deterministic ones do
+(:mod:`repro.core.deterministic`): ``m`` times the per-transition rate
+of the slowest strongly connected component. Data set ``n`` follows row
+``n mod m``, so the slowest component paces every row. Three
+evaluators, in increasing generality / cost:
 
 * :func:`overlap_exponential_throughput` — Theorem 3/4 symbolic column
   decomposition (the Overlap path; polynomial for homogeneous
   communications, ``S(u, v)``-sized CTMCs otherwise);
-* :func:`tpn_exponential_throughput_scc` — per-SCC saturated CTMCs on an
-  unrolled net, composed by the bottleneck rule. Exact for feed-forward
-  (Overlap) nets of modest ``m``; the decomposition's cross-check (in
-  particular of the "c copies of one pattern" reduction), called as
-  ``tpn_exponential_throughput_scc(build_overlap_tpn(mapping))``;
-* :func:`strict_exponential_throughput` — Theorem 2's full marking chain
-  for the Strict model (the net is bounded thanks to its backward edges);
-  exponential cost, intended for small instances.
+* :func:`strict_exponential_throughput` — Theorem 2's marking chain for
+  the Strict model (the net is bounded thanks to its backward edges),
+  one chain per row class; exponential cost, intended for small
+  instances;
+* :func:`tpn_exponential_throughput_scc` — one saturated CTMC per
+  strongly connected component of an unrolled net; the oracle of both
+  paths above, called on ``build_overlap_tpn(mapping)`` or
+  ``build_strict_tpn(mapping)``.
 
 :func:`exponential_throughput` picks among them from its input alone.
 """
@@ -20,46 +24,44 @@ Three evaluators, in increasing generality / cost:
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
+from repro.exceptions import UnsupportedModelError
 from repro.mapping.mapping import Mapping
 from repro.markov.builder import exponential_rates, tpn_throughput_exponential
-from repro.petri.analysis import condensation_edges, subnet
+from repro.petri.analysis import strongly_connected_components, subnet
 from repro.petri.builder_overlap import build_overlap_tpn
-from repro.petri.builder_strict import build_strict_tpn
 from repro.petri.net import TimedEventGraph
+from repro.telemetry.profile import profile_span
 from repro.types import ExecutionModel
 from repro.core.components import overlap_throughput
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.evaluate.cache import StructureCache
+
 
 def overlap_exponential_throughput(
-    mapping: Mapping,
-    *,
-    semantics: str = "unbounded",
-    max_states: int = 200_000,
+    mapping: Mapping, *, max_states: int = 200_000
 ) -> float:
     """Overlap throughput with exponential times (Theorems 3/4)."""
-    return overlap_throughput(
-        mapping, "exponential", semantics=semantics, max_states=max_states
-    )
+    return overlap_throughput(mapping, "exponential", max_states=max_states)
 
 
 def tpn_exponential_throughput_scc(
     tpn: TimedEventGraph, *, max_states: int = 200_000
 ) -> float:
-    """Exponential throughput of an unrolled net by SCC composition.
+    """Exponential throughput of an unrolled net, one CTMC per component.
 
     Each strongly connected component is analyzed in isolation (inputs
-    saturated: boundary places dropped by :func:`repro.petri.analysis.subnet`)
-    through its marking CTMC; the per-transition inner rates then compose
-    through the condensation DAG by the bottleneck rule — exact for
-    feed-forward nets under the unbounded-buffer Overlap semantics.
+    saturated: boundary places dropped by
+    :func:`repro.petri.analysis.subnet`) through its marking CTMC. The
+    throughput is ``m`` times the per-transition rate of the slowest
+    component.
     """
-    comps, edges = condensation_edges(tpn)
-    inner: list[float] = []
-    for members in comps:
+    slowest = math.inf
+    for members in strongly_connected_components(tpn):
         sub, _ = subnet(tpn, members)
         if all(t.mean_time == 0.0 for t in sub.transitions):
-            inner.append(math.inf)
             continue
         counted = list(range(sub.n_transitions))
         total = tpn_throughput_exponential(
@@ -67,57 +69,110 @@ def tpn_exponential_throughput_scc(
         )
         # All transitions of a strongly connected event graph share the
         # same long-run rate; the CTMC gives the component total.
-        inner.append(total / sub.n_transitions)
-    effective = list(inner)
-    preds: list[list[int]] = [[] for _ in comps]
-    for u, v in edges:
-        preds[v].append(u)
-    for v in range(len(comps)):
-        for u in preds[v]:
-            effective[v] = min(effective[v], effective[u])
-    comp_of = {t: cid for cid, members in enumerate(comps) for t in members}
-    return float(
-        sum(effective[comp_of[t]] for t in tpn.last_column_transitions())
+        slowest = min(slowest, total / sub.n_transitions)
+    return tpn.n_rows * slowest
+
+
+def _chain_throughput(
+    mapping: Mapping, max_states: int, cache: "StructureCache | None"
+) -> float:
+    """Theorem 2's marking chain of one connected Strict net."""
+    # Looked up when called, not bound at import, so that a wrapper set
+    # on these module attributes sees every build and exploration.
+    from repro.evaluate.cache import strict_net
+    from repro.petri import reachability
+
+    tpn = strict_net(mapping, cache)
+    if cache is None:
+        return tpn_throughput_exponential(tpn, max_states=max_states)
+
+    def explore():
+        with profile_span("reachability"):
+            return reachability.explore(
+                tpn, max_states=max_states, place_bound=reachability.PLACE_BOUND
+            )
+
+    reach = cache.reachability(
+        mapping,
+        ExecutionModel.STRICT,
+        explore,
+        max_states=max_states,
+        place_bound=reachability.PLACE_BOUND,
     )
+    return tpn_throughput_exponential(tpn, max_states=max_states, reach=reach)
 
 
 def strict_exponential_throughput(
-    mapping: Mapping, *, max_states: int = 200_000
+    mapping: Mapping,
+    *,
+    max_states: int = 200_000,
+    cache: "StructureCache | None" = None,
 ) -> float:
-    """Strict-model exponential throughput — Theorem 2's general method.
+    """Strict-model exponential throughput — Theorem 2, one chain per row class.
 
-    Builds the (bounded) Strict net, enumerates its reachable markings and
-    solves the stationary law. State count grows exponentially with the
-    number of rows; guarded by ``max_states``.
+    At stage ``i``, rows ``j`` and ``j'`` share a processor iff
+    ``j ≡ j' (mod R_i)``. The Strict net's connected components are
+    therefore the row classes modulo ``g = gcd(R_1, …, R_N)``, and class
+    ``r`` is the Strict net of the mapping with teams ``teams[i][r::g]``.
+    Each class is solved as a mapping of its own: its reachable markings
+    and their stationary law give its throughput ``ρ_r``. The slowest
+    class paces every row, so the throughput is ``g · min_r ρ_r``. A
+    connected net (``g = 1``) is one chain.
+
+    The class chains hold ``Σ|S_r|`` states in total where the whole
+    net's would hold ``Π|S_r|``; each is guarded by ``max_states``. With
+    a ``cache``, classes sharing a timing fingerprint share one built
+    net, and classes sharing a replication vector share one exploration,
+    so only the CTMC solve runs per class.
     """
-    tpn = build_strict_tpn(mapping)
-    return tpn_throughput_exponential(tpn, max_states=max_states)
+    g = math.gcd(*mapping.replication)
+    parts = [mapping] if g == 1 else [
+        Mapping(
+            mapping.application,
+            mapping.platform,
+            [team[r::g] for team in mapping.teams],
+        )
+        for r in range(g)
+    ]
+    return g * min(_chain_throughput(part, max_states, cache) for part in parts)
 
 
 def exponential_throughput(
     mapping: Mapping,
     model: ExecutionModel | str,
     *,
-    semantics: str = "unbounded",
     buffer_capacity: int | None = None,
     max_states: int = 200_000,
+    cache: "StructureCache | None" = None,
 ) -> float:
     """Front door: exponential throughput under either execution model.
 
-    * Strict — Theorem 2's full marking chain (``buffer_capacity`` and
-      ``semantics`` do not apply);
+    * Strict — Theorem 2's marking chain per row class
+      (:func:`strict_exponential_throughput`). The serialization chains
+      already bound the Strict net, so ``buffer_capacity`` does not
+      apply, and setting it raises
+      :class:`~repro.exceptions.UnsupportedModelError`;
     * Overlap — the Theorem 3/4 decomposition, or, when
       ``buffer_capacity`` is set, the marking chain of the capacitated
       net. The paper's Overlap net is feed-forward, hence unbounded, so
       it has a finite marking chain only with capacity places.
+
+    ``cache`` (a :class:`~repro.evaluate.cache.StructureCache`) shares
+    the Strict nets and explorations across calls; the ``exponential``
+    solver passes its own. It changes no value.
     """
     model = ExecutionModel.coerce(model)
     if model is ExecutionModel.STRICT:
-        return strict_exponential_throughput(mapping, max_states=max_states)
-    if buffer_capacity is None:
-        return overlap_exponential_throughput(
-            mapping, semantics=semantics, max_states=max_states
+        if buffer_capacity is not None:
+            raise UnsupportedModelError(
+                "buffer_capacity does not apply to the Strict model: its "
+                "serialization chains already bound the net"
+            )
+        return strict_exponential_throughput(
+            mapping, max_states=max_states, cache=cache
         )
+    if buffer_capacity is None:
+        return overlap_exponential_throughput(mapping, max_states=max_states)
     tpn = build_overlap_tpn(mapping, buffer_capacity=buffer_capacity)
     return tpn_throughput_exponential(tpn, max_states=max_states)
 

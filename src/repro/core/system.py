@@ -81,9 +81,9 @@ class StreamingSystem:
             **options,
         )
 
-    def deterministic_throughput(self, *, semantics: str = "unbounded") -> float:
+    def deterministic_throughput(self) -> float:
         """Static throughput (Section 4)."""
-        return self.solve("deterministic", semantics=semantics)
+        return self.solve("deterministic")
 
     def exponential_throughput(self, **kwargs) -> float:
         """Exponential-times throughput (Section 5)."""

@@ -15,7 +15,8 @@ One :class:`StructureCache` instance memoizes, across any number of
   of a hill climb) reuse one exploration and pay only the CTMC solve.
 
 The cache is a plain in-process object: share one instance to share
-work.
+work. :func:`strict_net` is the one way the solvers build a Strict net,
+through a cache when they are given one.
 
 A long-lived holder — the :mod:`repro.service` daemon keeps one cache
 for its whole lifetime — can bound memory with ``max_entries``: each of
@@ -181,3 +182,21 @@ class StructureCache:
             f"misses={s['misses']}, evictions={s['evictions']}, "
             f"nets={s['nets']}, reach={s['reachability']})"
         )
+
+
+def strict_net(
+    mapping: Mapping, cache: StructureCache | None = None
+) -> "TimedEventGraph":
+    """The Strict net of ``mapping``; with a ``cache``, built once per
+    timing fingerprint."""
+    # Looked up when called, not bound at import, so that a wrapper set
+    # on ``repro.petri.builder_strict.build_strict_tpn`` sees every build.
+    from repro.petri.builder_strict import build_strict_tpn
+
+    def build():
+        with profile_span("net_build"):
+            return build_strict_tpn(mapping)
+
+    if cache is None:
+        return build()
+    return cache.net(mapping, ExecutionModel.STRICT, build)

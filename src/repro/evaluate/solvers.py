@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, ClassVar, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.evaluate.cache import StructureCache
+from repro.evaluate.cache import StructureCache, strict_net
 from repro.evaluate.fingerprint import fingerprint_digest, mapping_fingerprint
 from repro.exceptions import UnsupportedModelError
 from repro.mapping.mapping import Mapping
@@ -112,23 +112,12 @@ def solver_options(name: str) -> tuple[str, ...]:
 def get_solver(name: str, **options) -> ThroughputSolver:
     """Instantiate the solver registered under ``name``.
 
-    ``options`` are the solver's constructor keywords (e.g. ``semantics``
-    or ``max_states``); unknown names raise ``UnsupportedModelError`` with
-    the available choices.
+    ``options`` are the solver's constructor keywords (e.g. ``max_states``
+    or ``buffer_capacity`` of ``exponential``); an unknown solver name
+    raises ``UnsupportedModelError`` with the available choices, and an
+    option the solver does not take raises ``TypeError``.
     """
     return _lookup(name)(**options)
-
-
-def _strict_net(mapping: Mapping, cache: StructureCache | None):
-    from repro.petri.builder_strict import build_strict_tpn
-
-    def build():
-        with profile_span("net_build"):
-            return build_strict_tpn(mapping)
-
-    if cache is None:
-        return build()
-    return cache.net(mapping, ExecutionModel.STRICT, build)
 
 
 # ----------------------------------------------------------------------
@@ -137,21 +126,16 @@ def _strict_net(mapping: Mapping, cache: StructureCache | None):
 @register_solver("deterministic")
 @dataclass(frozen=True)
 class DeterministicSolver:
-    """Section 4 static throughput (symbolic Overlap / critical cycles).
+    """Static throughput: Section 4's ``m / P`` under both models.
 
-    ``semantics`` applies to Overlap. A Strict mapping is always scored
-    by the SCC composition
-    (:func:`~repro.core.deterministic.tpn_throughput_deterministic`),
-    which sums the rates of independent rows: on a Strict net that is
-    not strongly connected it exceeds the whole-net ``m / P`` that
-    :func:`~repro.core.critical.analyze_critical_resource` reports. The
-    ``bounds`` solver pairs this value with Theorem 2's full chain,
-    which sums independent rows too, so which of the two values Strict
-    should report here is an open question.
+    Overlap takes the smallest inner rate of the symbolic components
+    (:func:`~repro.core.components.overlap_throughput`); Strict takes the
+    critical cycle of the whole net, one kernel call
+    (:func:`~repro.core.deterministic.tpn_throughput_deterministic`).
+    Either way the value is ``m`` times the per-transition rate of the
+    slowest strongly connected component, never above ``1 / Mct``. The
+    solver has no options.
     """
-
-    semantics: str = "unbounded"
-    max_states: int = 200_000
 
     def solve(
         self,
@@ -165,14 +149,9 @@ class DeterministicSolver:
 
         model = ExecutionModel.coerce(model)
         if model is ExecutionModel.OVERLAP:
-            return overlap_throughput(
-                mapping,
-                "deterministic",
-                semantics=self.semantics,
-                max_states=self.max_states,
-            )
+            return overlap_throughput(mapping, "deterministic")
         with profile_span("deterministic_tpn"):
-            return tpn_throughput_deterministic(_strict_net(mapping, cache))
+            return tpn_throughput_deterministic(strict_net(mapping, cache))
 
 
 @register_solver("exponential")
@@ -180,15 +159,16 @@ class DeterministicSolver:
 class ExponentialSolver:
     """Section 5 exponential throughput (Theorems 2-4).
 
-    Mirrors :func:`repro.core.exponential.exponential_throughput`, which
-    picks the method from the model and ``buffer_capacity``, but routes
-    the Strict marking chain through the structure cache: the net build
-    and the reachability exploration are reused across candidates
-    sharing the timing / topology fingerprint, only the CTMC solve runs
-    per candidate.
+    Calls :func:`repro.core.exponential.exponential_throughput`, which
+    picks the method from the model and ``buffer_capacity`` and reports
+    ``m`` times the per-transition rate of the slowest strongly connected
+    component. Strict solves Theorem 2's chain once per row class
+    (``buffer_capacity`` raises there) through the structure cache: the
+    net build and the reachability exploration are reused across
+    candidates and classes sharing the timing / topology fingerprint,
+    only the CTMC solve runs per class.
     """
 
-    semantics: str = "unbounded"
     buffer_capacity: int | None = None
     max_states: int = 200_000
 
@@ -200,40 +180,13 @@ class ExponentialSolver:
         cache: StructureCache | None = None,
     ) -> float:
         from repro.core.exponential import exponential_throughput
-        from repro.markov.builder import tpn_throughput_exponential
-        from repro.petri.reachability import PLACE_BOUND, explore
 
-        model = ExecutionModel.coerce(model)
-        if model is ExecutionModel.STRICT:
-            # Cache-aware Strict path: the net build and the reachability
-            # exploration are shared across same-fingerprint / same-topology
-            # candidates, only the CTMC solve runs per candidate.
-            tpn = _strict_net(mapping, cache)
-
-            def _explore():
-                with profile_span("reachability"):
-                    return explore(
-                        tpn, max_states=self.max_states, place_bound=PLACE_BOUND
-                    )
-
-            reach = None
-            if cache is not None:
-                reach = cache.reachability(
-                    mapping,
-                    model,
-                    _explore,
-                    max_states=self.max_states,
-                    place_bound=PLACE_BOUND,
-                )
-            return tpn_throughput_exponential(
-                tpn, max_states=self.max_states, reach=reach
-            )
         return exponential_throughput(
             mapping,
             model,
-            semantics=self.semantics,
             buffer_capacity=self.buffer_capacity,
             max_states=self.max_states,
+            cache=cache,
         )
 
 
@@ -245,11 +198,12 @@ class BoundsSolver:
     ``solve`` returns the guaranteed floor (the exponential lower bound —
     the value a variability-robust search should maximize); ``bounds``
     returns the full :class:`~repro.core.bounds.ThroughputBounds`. Both
-    halves share one structure cache, so the Strict net is built (and its
-    marking graph explored) once per mapping, not once per bound.
+    halves take the slowest component's rate and share one structure
+    cache, so a connected Strict net is built (and its marking graph
+    explored) once per mapping, not once per bound. ``max_states``
+    guards the exponential half.
     """
 
-    semantics: str = "unbounded"
     max_states: int = 200_000
 
     def bounds(
@@ -263,12 +217,10 @@ class BoundsSolver:
 
         if cache is None:
             cache = StructureCache()
-        upper = DeterministicSolver(
-            semantics=self.semantics, max_states=self.max_states
-        ).solve(mapping, model, cache=cache)
-        lower = ExponentialSolver(
-            semantics=self.semantics, max_states=self.max_states
-        ).solve(mapping, model, cache=cache)
+        upper = DeterministicSolver().solve(mapping, model, cache=cache)
+        lower = ExponentialSolver(max_states=self.max_states).solve(
+            mapping, model, cache=cache
+        )
         return ThroughputBounds(lower=lower, upper=upper)
 
     def solve(

@@ -215,6 +215,14 @@ def greedy_hill_climb(
             scores = _batch_score(part, mode, max_states, cache, n_jobs)
             evals += len(part)
             for cand, rho in zip(part, scores):
+                # A move needs a relative gain above 1e-12. Ties are the
+                # rule, since a move that misses the slowest component
+                # leaves the throughput as it was: in 500 climbs from
+                # Table 1 census draws (seed 2010), 30 536 of 37 150
+                # neighbours tied the best exactly and 3 more by
+                # round-off, at most 1.1e-16, while the smallest gain
+                # taken was 2.3e-5. The threshold sits between the two,
+                # so a round-off tie never moves the search.
                 if rho > best * (1 + 1e-12):
                     current, best = cand, rho
                     improved = True

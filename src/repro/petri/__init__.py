@@ -4,7 +4,6 @@ from repro.petri.net import Place, TimedEventGraph, Transition
 from repro.petri.builder_overlap import build_overlap_tpn, DEFAULT_MAX_TRANSITIONS
 from repro.petri.builder_strict import build_strict_tpn
 from repro.petri.analysis import (
-    condensation_edges,
     is_feed_forward,
     is_live,
     is_strongly_connected,
@@ -23,7 +22,6 @@ __all__ = [
     "build_overlap_tpn",
     "build_strict_tpn",
     "DEFAULT_MAX_TRANSITIONS",
-    "condensation_edges",
     "is_feed_forward",
     "is_live",
     "is_strongly_connected",

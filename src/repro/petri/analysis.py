@@ -51,26 +51,13 @@ def is_strongly_connected(tpn: TimedEventGraph) -> bool:
 def strongly_connected_components(tpn: TimedEventGraph) -> list[list[int]]:
     """SCCs of the transition graph, each sorted, in topological order.
 
-    Topological order of the condensation: predecessors first — the order
-    required by the min-composition of component throughputs.
+    Topological order of the condensation: predecessors first.
     """
     g = transition_digraph(tpn)
     comp_sets = list(nx.strongly_connected_components(g))
     cond = nx.condensation(g, scc=comp_sets)
     order = list(nx.topological_sort(cond))
     return [sorted(cond.nodes[c]["members"]) for c in order]
-
-
-def condensation_edges(tpn: TimedEventGraph) -> tuple[list[list[int]], list[tuple[int, int]]]:
-    """SCCs in topological order plus the condensation edges between them."""
-    g = transition_digraph(tpn)
-    comp_sets = list(nx.strongly_connected_components(g))
-    cond = nx.condensation(g, scc=comp_sets)
-    order = list(nx.topological_sort(cond))
-    relabel = {old: new for new, old in enumerate(order)}
-    comps = [sorted(cond.nodes[c]["members"]) for c in order]
-    edges = [(relabel[u], relabel[v]) for u, v in cond.edges]
-    return comps, edges
 
 
 def subnet(tpn: TimedEventGraph, transition_subset: list[int]) -> tuple[TimedEventGraph, dict[int, int]]:

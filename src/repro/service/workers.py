@@ -40,7 +40,7 @@ from repro.campaign.spec import SystemSpec
 from repro.evaluate.batch import TaskFailure, evaluate_tasks
 from repro.evaluate.cache import StructureCache
 from repro.evaluate.solvers import ThroughputSolver, get_solver
-from repro.exceptions import ReproError, ServiceError
+from repro.exceptions import InvalidDistributionError, ReproError, ServiceError
 from repro.mapping.mapping import Mapping
 from repro.service.diskcache import DiskScoreCache, score_digest
 from repro.service.faults import FaultInjector
@@ -92,7 +92,9 @@ def normalize_task(
         )
     try:
         solver = get_solver(task["solver"], **options)
-    except TypeError as exc:
+    except (TypeError, ValueError, InvalidDistributionError) as exc:
+        # A bad option name (TypeError) or a bad option value: the same
+        # tuple the campaign runner's prepare step reports.
         raise ServiceError(
             f"cannot configure solver {task['solver']!r} "
             f"with options {options!r}: {exc}"

@@ -61,7 +61,8 @@ class PlaceKind(enum.Enum):
     * ``STRICT_CYCLE`` — serialization receive→compute→send→receive of the
       Strict model (Section 3.3);
     * ``CAPACITY`` — optional finite-buffer back-pressure place (library
-      extension, see DESIGN.md §3.3).
+      extension, not in the paper: ``build_overlap_tpn(buffer_capacity=B)``
+      bounds every flow place at ``B`` tokens).
     """
 
     FLOW = "flow"

@@ -363,7 +363,7 @@ class TestGrid:
             system=SystemSpec("single_communication", {"u": 2, "v": 2}),
             options={"n_datasets": 5},  # not a deterministic-solver option
         )
-        with pytest.raises(CampaignError, match="n_datasets"):
+        with pytest.raises(CampaignError, match="n_datasets; allowed: none"):
             expand_scenario("c", 0, bad_option)
 
     def test_model_and_solver_axes(self):

@@ -12,7 +12,7 @@ import pytest
 
 from repro.campaign import get_preset
 from repro.cli import _parse_fleet_faults, main
-from repro.exceptions import ServiceError
+from repro.exceptions import ServiceError, StateSpaceLimitError
 
 
 class TestList:
@@ -38,6 +38,18 @@ class TestSolve:
         with pytest.raises(SystemExit) as exc:
             main(["solve", "atlantis"])
         assert exc.value.code == 2
+
+    def test_max_states_forwarded_only_where_taken(self):
+        # The deterministic solver takes no option: the flag must not
+        # reach it.
+        assert main(["solve", "example_a", "--max-states", "9"]) == 0
+        # The exponential one does: Example A's Strict chain has more
+        # than nine states.
+        with pytest.raises(StateSpaceLimitError):
+            main([
+                "solve", "example_a", "--solver", "exponential",
+                "--model", "strict", "--max-states", "9",
+            ])
 
 
 class TestSearch:
@@ -365,7 +377,7 @@ class TestServiceCommands:
         assert ready.exists(), "server never wrote its ready file"
         port = json_mod.loads(ready.read_text())["port"]
         yield port
-        from repro.exceptions import ServiceError
+        from repro.exceptions import ServiceError, StateSpaceLimitError
         from repro.service import ServiceClient
 
         try:

@@ -37,13 +37,6 @@ class TestOverlapBounds:
         b = throughput_bounds(mp, "overlap")
         assert 0 < b.lower <= b.upper
 
-    def test_semantics_forwarded(self):
-        mp = make_mapping([[0], [1, 2], [3, 4, 5]], seed=0)
-        b_unb = throughput_bounds(mp, "overlap")
-        b_bot = throughput_bounds(mp, "overlap", semantics="bottleneck")
-        assert b_bot.upper <= b_unb.upper * (1 + 1e-12)
-        assert b_bot.lower <= b_unb.lower * (1 + 1e-12)
-
 
 class TestStrictBounds:
     def test_small_strict_ordered(self):

@@ -9,13 +9,11 @@ from repro.core import (
     overlap_component_dag,
     overlap_throughput,
     round_period,
-    scc_rates_deterministic,
-    tpn_throughput_classic,
     tpn_throughput_deterministic,
 )
-from repro.exceptions import UnsupportedModelError
 from repro.mapping import max_cycle_time
 from repro.mapping.examples import example_a, single_communication
+from repro.maxplus.cycle import max_cycle_ratio_brute_force
 from repro.petri import build_overlap_tpn, build_strict_tpn
 
 from tests.conftest import make_mapping
@@ -62,20 +60,6 @@ class TestReplication:
                 min(u, v) / 2.0, rel=1e-6
             )
 
-    def test_heterogeneous_speeds_sum(self):
-        """Unbounded Overlap: a fast teammate is not slowed by a slow one."""
-        mp = make_mapping(
-            [[0], [1, 2]],
-            works=[0.001, 2.0],
-            files=[0.001],
-            speeds=[1000.0, 4.0, 1.0],
-        )
-        rho = deterministic_throughput(mp, "overlap")
-        # P1 completes its rows at 2 per unit (c=0.5), P2 at 0.5: each
-        # handles half the stream, so z1 = 4, z2 = 1 → ρ = (4 + 1)/2... but
-        # z is capped by upstream (fast). ρ = (min(4,…) + min(1,…))/2.
-        assert rho == pytest.approx((4.0 + 1.0) / 2.0, rel=1e-3)
-
     def test_bottleneck_semantics_paced_by_slowest(self):
         mp = make_mapping(
             [[0], [1, 2]],
@@ -83,36 +67,10 @@ class TestReplication:
             files=[0.001],
             speeds=[1000.0, 4.0, 1.0],
         )
-        rho = deterministic_throughput(mp, "overlap", semantics="bottleneck")
-        # Finite buffers: everything paced by P2 (z = 2·(1/2) = 1).
+        rho = deterministic_throughput(mp, "overlap")
+        # Data set n follows row n mod 2: everything is paced by P2
+        # (z = 2·(1/2) = 1), although P1 alone could sustain z = 4.
         assert rho == pytest.approx(1.0, rel=1e-3)
-
-    def test_semantics_gap_on_skewed_branches(self):
-        """A fast sender feeding one fast and one very slow replica: the
-        bottleneck composition is paced by the slow replica, so the
-        unbounded value is more than 1.5x the bottleneck one (10.5x)."""
-        mp = make_mapping(
-            [[0], [1, 2]],
-            works=[0.01, 2.0],
-            files=[0.01],
-            speeds=[100.0, 10.0, 0.5],
-        )
-        unb = overlap_throughput(mp, "deterministic")
-        bot = overlap_throughput(mp, "deterministic", semantics="bottleneck")
-        assert unb > bot * 1.5
-
-    def test_unbounded_at_least_bottleneck(self):
-        for seed in range(6):
-            mp = make_mapping([[0], [1, 2], [3, 4, 5]], seed=seed)
-            unb = deterministic_throughput(mp, "overlap")
-            bot = deterministic_throughput(mp, "overlap", semantics="bottleneck")
-            assert unb >= bot * (1 - 1e-12)
-
-    def test_unknown_semantics_rejected_under_both_models(self):
-        mp = make_mapping([[0], [1, 2]])
-        for model in ("overlap", "strict"):
-            with pytest.raises(UnsupportedModelError):
-                deterministic_throughput(mp, model, semantics="???")
 
 
 class TestTpnEvaluators:
@@ -126,20 +84,23 @@ class TestTpnEvaluators:
             )
 
     def test_classic_equals_min_component(self):
+        """The symbolic min component is m / P by cycle enumeration."""
         for seed in range(4):
             mp = make_mapping([[0], [1, 2], [3, 4, 5, 6]], seed=seed)
             tpn = build_overlap_tpn(mp)
-            assert tpn_throughput_classic(tpn) == pytest.approx(
-                overlap_throughput(mp, "deterministic", semantics="bottleneck"),
-                rel=1e-9,
+            oracle = max_cycle_ratio_brute_force(tpn.to_token_graph())
+            assert tpn.n_rows / oracle.ratio == pytest.approx(
+                overlap_throughput(mp, "deterministic"), rel=1e-9
             )
 
     def test_strict_strongly_connected_classic(self):
-        """On strongly connected nets both evaluators give m/P."""
+        """On a strongly connected Strict net the kernel's m / P matches
+        the critical cycle found by enumerating every simple cycle."""
         mp = make_mapping([[0], [1, 2], [3]], seed=3)
         tpn = build_strict_tpn(mp)
+        oracle = max_cycle_ratio_brute_force(tpn.to_token_graph())
         assert tpn_throughput_deterministic(tpn) == pytest.approx(
-            tpn_throughput_classic(tpn), rel=1e-9
+            tpn.n_rows / oracle.ratio, rel=1e-9
         )
 
     def test_round_period_scales_with_rows(self):
@@ -147,22 +108,15 @@ class TestTpnEvaluators:
         tpn = build_overlap_tpn(mp)
         p = round_period(tpn)
         assert tpn.n_rows / p == pytest.approx(
-            overlap_throughput(mp, "deterministic", semantics="bottleneck")
+            overlap_throughput(mp, "deterministic")
         )
-
-    def test_scc_rates_shapes(self):
-        mp = make_mapping([[0], [1, 2]])
-        tpn = build_overlap_tpn(mp)
-        comps, inner, effective = scc_rates_deterministic(tpn)
-        assert len(comps) == len(inner) == len(effective)
-        assert all(e <= i + 1e-12 for i, e in zip(inner, effective))
 
     def test_strict_slower_than_overlap(self):
         """Serialization can only hurt: ρ_strict <= ρ_overlap."""
         for seed in range(5):
             mp = make_mapping([[0], [1, 2], [3]], seed=seed)
             s = deterministic_throughput(mp, "strict")
-            o = deterministic_throughput(mp, "overlap", semantics="bottleneck")
+            o = deterministic_throughput(mp, "overlap")
             assert s <= o * (1 + 1e-9)
 
 
@@ -187,8 +141,7 @@ class TestAgainstSimulation:
         tpn = build_overlap_tpn(mp)
         sim = simulate_tpn(tpn, n_datasets=20_000, law="deterministic", seed=1)
         assert sim.steady_state_throughput() == pytest.approx(
-            deterministic_throughput(mp, "overlap", semantics="bottleneck"),
-            rel=0.01,
+            deterministic_throughput(mp, "overlap"), rel=0.01
         )
 
     @pytest.mark.parametrize("seed", range(3))
@@ -236,7 +189,7 @@ class TestExampleA:
     def test_overlap_has_critical_resource(self):
         """Same fixture, Overlap model: the Mct bound is tight (Table 1)."""
         mp = example_a()
-        rho = deterministic_throughput(mp, "overlap", semantics="bottleneck")
+        rho = deterministic_throughput(mp, "overlap")
         mct = max_cycle_time(mp, "overlap")
         assert rho == pytest.approx(1.0 / mct, rel=1e-6)
 

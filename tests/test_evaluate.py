@@ -19,6 +19,7 @@ from repro.evaluate import (
     evaluate_tasks,
     get_solver,
     mapping_fingerprint,
+    solver_options,
     structure_fingerprint,
 )
 from repro.exceptions import InvalidDistributionError, UnsupportedModelError
@@ -52,8 +53,8 @@ class TestRegistry:
             get_solver("quantum")
 
     def test_options_configure_the_instance(self):
-        solver = get_solver("deterministic", semantics="bottleneck")
-        assert solver.semantics == "bottleneck"
+        solver = get_solver("exponential", buffer_capacity=2)
+        assert solver.buffer_capacity == 2
 
     def test_simulation_solver_checks_estimator_and_law_when_built(self):
         # A single-run solver used to score an unknown estimator as
@@ -78,6 +79,16 @@ class TestRegistry:
             get_solver("simulation", engine="vectorized")
         with pytest.raises(TypeError, match="method"):
             get_solver("exponential", method="full")
+
+    def test_semantics_option_removed(self):
+        # Every engine reports the slowest component's rate: no solver
+        # takes a throughput rule, and the deterministic one takes nothing.
+        # The option arrives as a spec or a wire task would send it.
+        options = {"semantics": "bottleneck"}
+        for name in ("deterministic", "exponential", "bounds"):
+            with pytest.raises(TypeError, match="semantics"):
+                get_solver(name, **options)
+        assert solver_options("deterministic") == ()
 
 
 class TestSolverAgreement:
@@ -232,12 +243,10 @@ class TestEvaluateMany:
     def test_solver_options_partition_the_memo(self):
         mp = make_mapping([[0], [1, 2]], seed=5)
         cache = StructureCache()
-        a = evaluate(mp, solver="deterministic", cache=cache)
-        b = evaluate(
-            mp, solver="deterministic", semantics="bottleneck", cache=cache
-        )
+        a = evaluate(mp, solver="exponential", cache=cache)
+        b = evaluate(mp, solver="exponential", buffer_capacity=2, cache=cache)
         assert cache.misses == 2  # different options, different entries
-        assert a >= b  # unbounded >= bottleneck composition
+        assert a >= b  # a finite buffer can only slow the pipeline
 
 
 class TestStructureSharing:

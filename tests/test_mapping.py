@@ -228,7 +228,7 @@ class TestResources:
         assert crit.proc == 1 and crit.stage == 1
 
     def test_mct_bounds_bottleneck_throughput(self):
-        """``ρ_bottleneck <= 1/Mct`` and unbounded ``>=`` bottleneck."""
+        """``ρ <= 1/Mct``: the slowest component paces every row."""
         from repro.core import deterministic_throughput
         from repro.application import random_application
         from repro.platform import random_platform
@@ -238,13 +238,9 @@ class TestResources:
             app = random_application(3, r)
             plat = random_platform(8, r)
             mp = random_mapping(app, plat, r)
-            bottleneck = deterministic_throughput(
-                mp, "overlap", semantics="bottleneck"
-            )
-            unbounded = deterministic_throughput(mp, "overlap")
+            bottleneck = deterministic_throughput(mp, "overlap")
             mct = max_cycle_time(mp, "overlap")
             assert bottleneck <= 1.0 / mct * (1 + 1e-9)
-            assert unbounded >= bottleneck * (1 - 1e-9)
 
 
 class TestGenerators:

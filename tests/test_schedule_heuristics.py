@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import Application, Platform
-from repro.core import tpn_throughput_classic, overlap_throughput
+from repro.core import overlap_throughput, tpn_throughput_deterministic
 from repro.core.schedule import periodic_schedule
 from repro.exceptions import StructuralError
 from repro.mapping.heuristics import (
@@ -37,14 +37,14 @@ class TestPeriodicSchedule:
             mp = make_mapping([[0], [1, 2]], seed=seed)
             tpn = build_strict_tpn(mp)
             sched = periodic_schedule(tpn)
-            rho = tpn_throughput_classic(tpn)
+            rho = tpn_throughput_deterministic(tpn)
             assert rho == pytest.approx(tpn.n_rows / sched.cycle_time, rel=1e-6)
 
     def test_overlap_symmetric_net(self):
         mp = make_mapping([[0, 1], [2, 3, 4]])
         tpn = build_overlap_tpn(mp)
         sched = periodic_schedule(tpn)
-        rho = overlap_throughput(mp, "deterministic", semantics="bottleneck")
+        rho = overlap_throughput(mp, "deterministic")
         assert rho == pytest.approx(tpn.n_rows / sched.cycle_time, rel=1e-6)
 
     def test_offsets_shape_and_range(self):
@@ -136,14 +136,15 @@ class TestHeuristics:
         assert exp.throughput <= det.throughput * (1 + 1e-9)
 
 
-#: Pre-refactor outputs of the serial one-candidate-at-a-time heuristics
-#: (recorded at the PR 1 tree on the ``_instance`` systems below):
+#: Outputs of the serial one-candidate-at-a-time heuristics on the
+#: ``_instance`` systems below, re-recorded when the objective became the
+#: rate of the slowest component (``m / P``) instead of the branch sum:
 #: seed -> (hill-climb rho, restart rho, restart evaluation count).
 _PRE_REFACTOR = {
-    0: (0.9794428168094456, 1.3844005475115075, 40),
-    3: (1.3659987904649937, 1.4100052763104642, 59),
-    7: (0.7763586739879177, 0.7413055538225953, 44),
-    11: (1.0362295147859208, 1.301398502321453, 41),
+    0: (0.9009393415885104, 1.1051764788312815, 44),
+    3: (1.1142611559905748, 1.3485229372744743, 43),
+    7: (0.6221028276700958, 0.7044103462728993, 40),
+    11: (1.0947545048530016, 1.0947545048530016, 38),
 }
 
 

@@ -191,8 +191,9 @@ class TestScoreDigest:
         assert base == score_digest(det, mp, "overlap")
         assert base != score_digest(det, mp, "strict")
         assert base != score_digest(get_solver("exponential"), mp, "overlap")
-        assert base != score_digest(
-            get_solver("deterministic", max_states=10), mp, "overlap"
+        exp = score_digest(get_solver("exponential"), mp, "overlap")
+        assert exp != score_digest(
+            get_solver("exponential", max_states=10), mp, "overlap"
         )
         assert base != score_digest(det, single_communication(3, 2), "overlap")
 
@@ -359,6 +360,18 @@ class TestEngine:
         assert solver.name == "deterministic"
         assert mapping.replication == (2, 3)
         assert model.value == "overlap"
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"estimator": "median"}, {"law": "cauchy"}, {"n_datasets_typo": 5}],
+        ids=["bad-estimator", "bad-law", "bad-name"],
+    )
+    def test_bad_option_value_reported_like_bad_option_name(self, options):
+        task = dict(pattern_task(solver="simulation"), options=options)
+        with pytest.raises(
+            ServiceError, match="cannot configure solver 'simulation'"
+        ):
+            normalize_task(task)
 
 
 # ----------------------------------------------------------------------
