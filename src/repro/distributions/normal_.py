@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.stats import truncnorm
 
 from repro.distributions.base import Distribution
 
@@ -23,6 +22,8 @@ class TruncatedNormal(Distribution):
     __slots__ = ("_mu", "_sigma", "_frozen")
 
     def __init__(self, mu: float, sigma: float) -> None:
+        from scipy.stats import truncnorm
+
         self._sigma = self._check_positive(sigma, "normal sigma")
         self._mu = float(mu)
         a = (0.0 - self._mu) / self._sigma  # standardized lower bound
@@ -35,6 +36,8 @@ class TruncatedNormal(Distribution):
         Solves ``E[TN(mu, sigma)] = mean`` for ``mu`` by bisection: the
         truncated mean is strictly increasing in ``mu``.
         """
+        from scipy.stats import truncnorm
+
         mean = cls._check_positive(mean, "truncated-normal mean")
         sigma = cls._check_positive(sigma, "truncated-normal sigma")
 

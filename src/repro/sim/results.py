@@ -7,6 +7,18 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def check_warmup_fraction(warmup_fraction: float) -> None:
+    """Raise ``ValueError`` unless the warm-up share lies in ``[0, 1)``.
+
+    A negative share would index the completions from the end, and a
+    share of 1 or more would discard every one of them.
+    """
+    if not 0.0 <= warmup_fraction < 1.0:
+        raise ValueError(
+            f"warmup_fraction must be in [0, 1), got {warmup_fraction!r}"
+        )
+
+
 @dataclass(frozen=True)
 class SimulationResult:
     """Outcome of one simulation run.
@@ -81,6 +93,7 @@ class SimulationResult:
         """
         if self.latencies is None:
             raise ValueError("this run did not record latencies")
+        check_warmup_fraction(warmup_fraction)
         n = self.latencies.size
         tail = self.latencies[int(n * warmup_fraction):]
         return {
@@ -96,6 +109,7 @@ class SimulationResult:
         Removes the transient regime (the TPN literature's "transitive
         period") for a less biased estimate on short runs.
         """
+        check_warmup_fraction(warmup_fraction)
         n = self.n_processed
         w = int(n * warmup_fraction)
         if n - w < 2:

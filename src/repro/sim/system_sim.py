@@ -29,6 +29,13 @@ where ``Free_recv`` is the receiver's previous *send* completion
 computation for the last stage) and ``Free_comp`` is, for the first
 stage, the processor's previous send ``D[0][n - R_0]``.
 
+:func:`simulate_system` evaluates these on Python floats: Overlap one
+stage at a time, Strict one data set at a time.
+:func:`simulate_system_batch` steps every replication together in a
+float64 pass over data sets; both perform the same IEEE max and add
+operations in the same order per value, so their results are
+bit-identical.
+
 Random times honour the per-resource I.I.D. hypothesis: each operation
 time is its deterministic mean multiplied by a unit-mean draw of the
 requested law. The *associated* case of Section 6.2 is supported with
@@ -42,12 +49,13 @@ from __future__ import annotations
 import time as _time
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from repro.exceptions import UnsupportedModelError
 from repro.mapping.mapping import Mapping
-from repro.sim.results import SimulationResult
+from repro.sim.results import SimulationResult, check_warmup_fraction
 from repro.sim.sampling import SampleBuffer, as_factory
 from repro.types import ExecutionModel
 
@@ -131,6 +139,79 @@ def _multipliers(
     return comp_mult, comm_mult
 
 
+def _overlap_pass(
+    comp_rows: list[list[float]],
+    comm_rows: list[list[float]],
+    reps: Sequence[int],
+) -> tuple[list[float], list[float]]:
+    """Overlap completions ``C[0]`` and ``C[n-1]``, one stage at a time.
+
+    Stage ``i`` reads stage ``i - 1`` only at the same data set, so each
+    stage's rows are finished before the next stage starts. A row that
+    reads itself ``lag`` data sets back starts with ``lag`` zeros (the
+    resource is free at 0): iterating it from the front then yields
+    ``X[k - lag]`` while the loop appends ``X[k]`` at the back.
+    """
+    n = len(comp_rows)
+    ready = [0.0] * len(comp_rows[0])  # every input is there at 0
+    for i, times in enumerate(comp_rows):
+        lag = reps[i]
+        done = [0.0] * lag
+        append = done.append
+        for arrived, free, t in zip(ready, done, times):
+            append((free if free > arrived else arrived) + t)
+        done = done[lag:]
+        if i == 0:
+            first = done
+        if i < n - 1:
+            out_lag, in_lag = reps[i], reps[i + 1]
+            pad = max(out_lag, in_lag)
+            sent = [0.0] * pad
+            append = sent.append
+            for computed, out_free, in_free, t in zip(
+                done,
+                islice(sent, pad - out_lag, None),
+                islice(sent, pad - in_lag, None),
+                comm_rows[i],
+            ):
+                start = out_free if out_free > computed else computed
+                append((in_free if in_free > start else start) + t)
+            ready = sent[pad:]
+    return first, done
+
+
+def _strict_pass(
+    comp_rows: list[list[float]],
+    comm_rows: list[list[float]],
+    reps: Sequence[int],
+) -> tuple[list[float], list[float]]:
+    """Strict completions ``C[0]`` and ``C[n-1]``, one data set at a time.
+
+    Stage ``i``'s processor is free again after its last operation on
+    the data set ``R_i`` earlier: its send ``D[i]``, or its computation
+    for the last stage. That send is written while stage ``i + 1``
+    receives, so a stage's reception waits for the next stage's earlier
+    send and the stages cannot run one after another. ``free[i]`` holds
+    that row behind ``R_i`` leading zeros, so ``free[i][k]`` is the
+    value at data set ``k - R_i``.
+    """
+    n = len(comp_rows)
+    free = [[0.0] * lag for lag in reps]
+    first: list[float] = []
+    for k, t in enumerate(comp_rows[0]):
+        done = free[0][k] + t
+        first.append(done)
+        for i in range(1, n):
+            # Reception = the transfer; compute follows directly.
+            idle = free[i][k]
+            start = idle if idle > done else done
+            sent = start + comm_rows[i - 1][k]
+            free[i - 1].append(sent)
+            done = sent + comp_rows[i][k]
+        free[n - 1].append(done)
+    return first, free[n - 1][reps[n - 1]:]
+
+
 def simulate_system(
     mapping: Mapping,
     model: ExecutionModel | str,
@@ -172,58 +253,27 @@ def simulate_system(
     comp_times = comp_mean * comp_mult
     comm_times = comm_mean * comm_mult
 
-    comp_done = np.zeros((n, n_ops))
-    comm_done = np.zeros((max(n - 1, 0), n_ops))
-
-    def prev(arr_row: np.ndarray, idx: int, lag: int) -> float:
-        j = idx - lag
-        return arr_row[j] if j >= 0 else 0.0
-
+    # Python floats: max and add are the same IEEE operations as on
+    # float64, without boxing a numpy scalar on every element access.
+    comp_rows = comp_times.tolist()
+    comm_rows = comm_times.tolist()
     if model is ExecutionModel.OVERLAP:
-        for k in range(n_ops):
-            for i in range(n):
-                ready = comm_done[i - 1][k] if i > 0 else 0.0
-                free = prev(comp_done[i], k, reps[i])
-                comp_done[i][k] = max(ready, free) + comp_times[i][k]
-                if i < n - 1:
-                    out_free = prev(comm_done[i], k, reps[i])
-                    in_free = prev(comm_done[i], k, reps[i + 1])
-                    comm_done[i][k] = (
-                        max(comp_done[i][k], out_free, in_free) + comm_times[i][k]
-                    )
+        first, last = _overlap_pass(comp_rows, comm_rows, reps)
     elif model is ExecutionModel.STRICT:
-        for k in range(n_ops):
-            for i in range(n):
-                if i == 0:
-                    # Chain: comp -> send -> next comp.
-                    free = (
-                        prev(comm_done[0], k, reps[0])
-                        if n > 1
-                        else prev(comp_done[0], k, reps[0])
-                    )
-                    comp_done[0][k] = free + comp_times[0][k]
-                else:
-                    # Reception = the transfer; compute follows directly.
-                    recv_free = (
-                        prev(comm_done[i], k, reps[i])
-                        if i < n - 1
-                        else prev(comp_done[i], k, reps[i])
-                    )
-                    start = max(comp_done[i - 1][k], recv_free)
-                    comm_done[i - 1][k] = start + comm_times[i - 1][k]
-                    comp_done[i][k] = comm_done[i - 1][k] + comp_times[i][k]
+        first, last = _strict_pass(comp_rows, comm_rows, reps)
     else:  # pragma: no cover
         raise UnsupportedModelError(str(model))
+    comp_first, comp_last = np.array([first, last])
 
     # Latency of data set n: from the start of its first computation to
     # the end of its last one (per data-set index, not sorted).
-    entries = comp_done[0] - comp_times[0]
-    latencies = comp_done[n - 1] - entries
+    entries = comp_first - comp_times[0]
+    latencies = comp_last - entries
 
     # Heterogeneous branches complete out of order (fast teammates run
     # ahead of slow ones); throughput counts completions by time, so sort.
     return SimulationResult(
-        completion_times=np.sort(comp_done[n - 1]),
+        completion_times=np.sort(comp_last),
         n_events=n_ops * (2 * n - 1),
         wall_time=_time.perf_counter() - t0,
         latencies=latencies,
@@ -282,6 +332,7 @@ class BatchSimulationResult:
         self, *, warmup_fraction: float = 0.2
     ) -> np.ndarray:
         """Per-replication warm-up-discarded throughput, shape ``(R,)``."""
+        check_warmup_fraction(warmup_fraction)
         n = self.n_datasets
         w = int(n * warmup_fraction)
         total = self.throughput()

@@ -18,6 +18,7 @@ from repro.sim import (
     normal_confidence_interval,
     replicate,
     simulate_system,
+    simulate_system_batch,
     simulate_tpn,
     throughput_vs_datasets,
 )
@@ -55,6 +56,23 @@ class TestSimulationResult:
         r = self._result(times)
         assert r.steady_state_throughput() == pytest.approx(1.0, rel=0.01)
         assert r.throughput < 1.0
+
+    @pytest.mark.parametrize("fraction", [-0.1, 1.0])
+    def test_warmup_fraction_outside_unit_interval_raises(self, fraction):
+        # -0.1 would index the completions from the end (2.2 where the
+        # rate is 2.0); 1.0 would discard every one of them.
+        mp = single_communication(2, 3, comm_time=1.0)
+        run = simulate_system(mp, "overlap", n_datasets=100)
+        batch = simulate_system_batch(
+            mp, "overlap", n_datasets=100, rngs=[np.random.default_rng(0)]
+        )
+        for method in (
+            run.steady_state_throughput,
+            run.latency_stats,
+            batch.steady_state_throughput,
+        ):
+            with pytest.raises(ValueError, match="warmup_fraction"):
+                method(warmup_fraction=fraction)
 
     def test_windowed(self):
         times = np.arange(1.0, 101.0)

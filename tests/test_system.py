@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -33,6 +38,21 @@ class TestPackageSurface:
         det = sys_.deterministic_throughput()
         exp = sys_.exponential_throughput()
         assert 0 < exp <= det
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats takes about a second to import; the laws that need
+        # it import it when they are built, so start-up does not pay it.
+        src = str(Path(repro.__file__).resolve().parents[1])
+        code = "import sys, repro, repro.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestFacade:
