@@ -27,7 +27,7 @@ from collections.abc import Mapping as MappingABC
 import numpy as np
 
 from repro.distributions.base import Distribution
-from repro.maxplus.dater import dater_evolution
+from repro.maxplus.dater import check_warmup_fraction, dater_evolution
 from repro.petri.net import TimedEventGraph
 from repro.sim.sampling import as_factory
 
@@ -88,6 +88,7 @@ def coupled_throughputs(
     The shared coupling removes most of the between-law sampling noise, so
     the Theorem 6/7 orderings emerge at modest run lengths.
     """
+    check_warmup_fraction(warmup_fraction)
     daters = coupled_daters(tpn, laws, n_firings=n_firings, seed=seed)
     last = tpn.last_column_transitions()
     out: dict[str, float] = {}

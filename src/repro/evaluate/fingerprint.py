@@ -37,8 +37,21 @@ def mapping_fingerprint(
     computation: computation means per team position and communication
     means per row of each adjacent-pair unrolling (period
     ``lcm(R_i, R_{i+1})``, after which the round-robin pairing repeats).
+
+    Computed once per mapping instance and model: a mapping does not
+    change after construction (its teams are tuples, its platform's
+    bandwidth matrix is read-only), so the memo lives in the instance's
+    ``__dict__`` beside the cached ``replication``.
     """
     model = ExecutionModel.coerce(model)
+    memo = mapping.__dict__.setdefault("_fingerprints", {})
+    fingerprint = memo.get(model)
+    if fingerprint is None:
+        fingerprint = memo[model] = _timing_fingerprint(mapping, model)
+    return fingerprint
+
+
+def _timing_fingerprint(mapping: Mapping, model: ExecutionModel) -> Fingerprint:
     n = mapping.n_stages
     reps = mapping.replication
     compute = tuple(

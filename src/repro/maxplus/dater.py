@@ -26,6 +26,19 @@ from repro.exceptions import StructuralError
 from repro.petri.net import TimedEventGraph
 
 
+def check_warmup_fraction(warmup_fraction: float) -> None:
+    """Raise ``ValueError`` unless the warm-up share lies in ``[0, 1)``.
+
+    A negative share would index the completions from the end, and a
+    share of 1 or more would discard every one of them. Every estimator
+    that drops a warm-up prefix applies this rule, the simulators' too.
+    """
+    if not 0.0 <= warmup_fraction < 1.0:
+        raise ValueError(
+            f"warmup_fraction must be in [0, 1), got {warmup_fraction!r}"
+        )
+
+
 def dater_evolution(
     tpn: TimedEventGraph,
     n_firings: int,
@@ -109,6 +122,7 @@ def dater_throughput(
     firing ``n`` times, the rate is estimated on the post-warm-up window
     of the merged completion stream.
     """
+    check_warmup_fraction(warmup_fraction)
     d = dater_evolution(tpn, n_firings, times)
     last = tpn.last_column_transitions()
     completions = np.sort(d[last, :].ravel())

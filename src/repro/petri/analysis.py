@@ -13,15 +13,22 @@ algorithms rely on:
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.exceptions import StructuralError
 from repro.petri.net import TimedEventGraph
 from repro.types import PlaceKind
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    # The functions import networkx where they use it, so that importing
+    # the package does not load it.
+    import networkx as nx
+
 
 def transition_digraph(tpn: TimedEventGraph) -> nx.DiGraph:
     """Directed graph on transitions with one edge per place (collapsed)."""
+    import networkx as nx
+
     g = nx.DiGraph()
     g.add_nodes_from(range(tpn.n_transitions))
     g.add_edges_from((p.src, p.dst) for p in tpn.places)
@@ -45,6 +52,8 @@ def is_live(tpn: TimedEventGraph) -> bool:
 
 
 def is_strongly_connected(tpn: TimedEventGraph) -> bool:
+    import networkx as nx
+
     return nx.is_strongly_connected(transition_digraph(tpn))
 
 
@@ -53,6 +62,8 @@ def strongly_connected_components(tpn: TimedEventGraph) -> list[list[int]]:
 
     Topological order of the condensation: predecessors first.
     """
+    import networkx as nx
+
     g = transition_digraph(tpn)
     comp_sets = list(nx.strongly_connected_components(g))
     cond = nx.condensation(g, scc=comp_sets)

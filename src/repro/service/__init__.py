@@ -5,7 +5,9 @@ subsystem makes it *resident*. A ``repro.cli serve`` process keeps the
 expensive state alive between requests and answers JSON-framed queries
 over a loopback socket:
 
-* :mod:`repro.service.protocol` — newline-delimited JSON framing;
+* :mod:`repro.service.protocol` — newline-delimited JSON framing, and
+  the task memo keyed by a task's frame text, through which each role
+  resolves a distinct task once;
 * :mod:`repro.service.diskcache` — tier-2 persistent score cache
   (fingerprint-keyed JSONL on the campaign store's crash-safe
   machinery), so a *restarted* server still answers repeat queries

@@ -50,7 +50,7 @@ from repro.exceptions import (
 from repro.service.catalog import WorkerCatalog, WorkerInfo
 from repro.service.client import RetryPolicy, ServiceClient
 from repro.service.host import ServiceHost, solve_task
-from repro.service.protocol import DEFAULT_HOST, DEFAULT_PORT
+from repro.service.protocol import DEFAULT_HOST, DEFAULT_PORT, TaskMemo
 from repro.service.routing import STRATEGY, rank, task_routing_key
 from repro.telemetry import (
     FlightRecorder,
@@ -80,6 +80,12 @@ CONTROL_TIMEOUT_S = 5.0
 
 #: Deadline (seconds) of each liveness ping.
 PING_TIMEOUT_S = 2.0
+
+#: Routing keys one orchestrator keeps, least recently used out first.
+#: An entry (a task's canonical text and its key) takes about 330 B, so
+#: the memo stays near 5 MB in a long-lived orchestrator that keeps
+#: seeing new tasks; past the bound a task pays its derivation again.
+ROUTING_MEMO_ENTRIES = 16_384
 
 
 class _WorkerClientPool:
@@ -188,6 +194,7 @@ class OrchestratorServer(ServiceHost):
             timeout=request_timeout, connect_timeout=connect_timeout
         )
         self._rng = random.Random(retry.seed if retry is not None else None)
+        self._routing_keys = TaskMemo(ROUTING_MEMO_ENTRIES)
         self._counters = {
             "requests": 0,
             "batches": 0,
@@ -316,6 +323,10 @@ class OrchestratorServer(ServiceHost):
         self.catalog.record_success(worker.name)
         return reply
 
+    def routing_key(self, task: object) -> str:
+        """:func:`task_routing_key`, derived once per distinct task."""
+        return self._routing_keys.get(task, task_routing_key)
+
     def run_batch(self, tasks: list, *, request_id: str | None = None) -> dict:
         """Shard a batch across the fleet and merge replies in order.
 
@@ -342,9 +353,13 @@ class OrchestratorServer(ServiceHost):
         }
         tele = {"route_s": 0.0, "merge_s": 0.0, "hops": []}
         if n:
+            # Deriving a key builds the task's mapping on a memo miss, so
+            # it is part of the route window.
+            t_route = self.clock()
             indexed = [
-                (i, task, task_routing_key(task)) for i, task in enumerate(tasks)
+                (i, task, self.routing_key(task)) for i, task in enumerate(tasks)
             ]
+            tele["route_s"] += self.clock() - t_route
             self._dispatch_shards(
                 indexed, values, failures, agg,
                 excluded=frozenset(), sweeps=0, attempts={},

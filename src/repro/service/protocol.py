@@ -5,15 +5,25 @@ by ``\\n``. The framing is deliberately the same shape as the campaign
 store's records — greppable, pipeable to ``jq``, and trivially
 implemented in any language that can open a TCP socket. Every frame is
 a dict; requests carry an ``op`` field, replies an ``ok`` field.
+
+The same encoding gives each wire task its canonical text
+(:func:`task_text`), the key of the :class:`TaskMemo` in which each
+service role keeps what it resolved from a task, so a repeated task is
+resolved once per process.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import BinaryIO
+import threading
+from collections import OrderedDict
+from collections.abc import Callable
+from typing import BinaryIO, TypeVar
 
 from repro.exceptions import ServiceError
+
+_T = TypeVar("_T")
 
 #: Default TCP port of ``repro.cli serve`` (loopback only).
 DEFAULT_HOST = "127.0.0.1"
@@ -25,11 +35,69 @@ DEFAULT_PORT = 7781
 MAX_FRAME_BYTES = 32 * 1024 * 1024
 
 
+def _encode(payload: object) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 def send_frame(wfile: BinaryIO, payload: dict) -> None:
     """Serialize ``payload`` as one JSON line and flush it."""
-    line = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    wfile.write(line.encode("utf-8") + b"\n")
+    wfile.write(_encode(payload).encode("utf-8") + b"\n")
     wfile.flush()
+
+
+def task_text(task: object) -> str | None:
+    """The canonical text of one wire task, or ``None``.
+
+    The task's :func:`send_frame` JSON form (sorted keys, compact
+    separators): two tasks that travel as the same bytes share one text.
+    ``None`` when the task is not JSON-serializable, which no task read
+    off the wire is.
+    """
+    try:
+        return _encode(task)
+    except (TypeError, ValueError):
+        return None
+
+
+class TaskMemo:
+    """Locked LRU from a task's canonical text to what a role resolved.
+
+    A worker resolves a wire task to its solver, mapping, model and
+    score digest, an orchestrator to its routing key; both ask
+    :meth:`get`, so a repeated task costs one encode and one lookup.
+    ``max_entries=None`` leaves the memo unbounded. A resolution that
+    raises stores nothing (the task fails again when repeated), and a
+    task without canonical text is resolved on every call.
+    """
+
+    def __init__(self, max_entries: int | None) -> None:
+        self.max_entries = max_entries
+        self._entries: OrderedDict[str, object] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, task: object, resolve: Callable[[object], _T]) -> _T:
+        """``resolve(task)``, computed once per distinct canonical text."""
+        text = task_text(task)
+        if text is None:
+            return resolve(task)
+        with self._lock:
+            value = self._entries.get(text)
+            if value is not None:
+                if self.max_entries is not None:
+                    self._entries.move_to_end(text)
+                return value  # type: ignore[return-value]
+        # Resolved outside the lock, so that one slow resolution holds up
+        # no other thread's lookups; two threads missing the same text
+        # both resolve it, and the second stores an equal value.
+        value = resolve(task)
+        with self._lock:
+            self._entries[text] = value
+            if self.max_entries is not None and len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
+        return value
+
+    def __len__(self) -> int:
+        return len(self._entries)
 
 
 def recv_frame(rfile: BinaryIO) -> dict | None:

@@ -1,7 +1,10 @@
 """Evaluation engine: shared caches + persistent worker pool + coalescing.
 
 One :class:`EvaluationEngine` lives for the whole life of a service
-process and executes every request against three cooperating layers:
+process. It resolves each distinct wire task once — its solver,
+mapping, model and score digest stay in a
+:class:`~repro.service.protocol.TaskMemo` bounded like the structure
+cache — and executes every request against three cooperating layers:
 
 1. the **tier-2 disk cache** (:class:`~repro.service.diskcache.DiskScoreCache`,
    optional) — answers repeat queries across server restarts;
@@ -44,6 +47,7 @@ from repro.exceptions import InvalidDistributionError, ReproError, ServiceError
 from repro.mapping.mapping import Mapping
 from repro.service.diskcache import DiskScoreCache, score_digest
 from repro.service.faults import FaultInjector
+from repro.service.protocol import TaskMemo
 from repro.service.queue import CoalescingQueue
 from repro.telemetry import MetricsRegistry, get_logger
 from repro.telemetry.clock import monotonic_clock
@@ -106,6 +110,14 @@ def normalize_task(
     return solver, mapping, model
 
 
+def _resolve_task(
+    task: dict,
+) -> tuple[ThroughputSolver, Mapping, ExecutionModel, str]:
+    """:func:`normalize_task` plus the task's score digest."""
+    solver, mapping, model = normalize_task(task)
+    return solver, mapping, model, score_digest(solver, mapping, model)
+
+
 class EvaluationEngine:
     """Long-lived executor shared by every connection of a service."""
 
@@ -134,6 +146,9 @@ class EvaluationEngine:
                 "bound the provided StructureCache at construction instead"
             )
         self.cache = cache
+        #: Wire task → ``(solver, mapping, model, digest)``, bounded like
+        #: the score memo it fronts, so a repeated task is resolved once.
+        self.resolved = TaskMemo(cache.max_entries)
         self.disk = disk
         self.n_jobs = n_jobs
         self.max_pool_restarts = max_pool_restarts
@@ -234,15 +249,14 @@ class EvaluationEngine:
             "failures": 0,
         }
 
-        # 1. Validate and build each task; failures stay per-slot.
+        # 1. Validate and build each task, once per distinct task;
+        #    failures stay per-slot and are never memoized.
         norm: dict[int, tuple[ThroughputSolver, Mapping, ExecutionModel, str]] = {}
         for i, task in enumerate(tasks):
             try:
-                solver, mapping, model = normalize_task(task)
+                norm[i] = self.resolved.get(task, _resolve_task)
             except (ReproError, TypeError, ValueError, KeyError) as exc:
                 results[i] = TaskFailure.of(exc)
-                continue
-            norm[i] = (solver, mapping, model, score_digest(solver, mapping, model))
 
         # 2. Tier-2 lookup, then group what is left by digest.
         pending: dict[str, list[int]] = {}

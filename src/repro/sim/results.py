@@ -6,17 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-def check_warmup_fraction(warmup_fraction: float) -> None:
-    """Raise ``ValueError`` unless the warm-up share lies in ``[0, 1)``.
-
-    A negative share would index the completions from the end, and a
-    share of 1 or more would discard every one of them.
-    """
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ValueError(
-            f"warmup_fraction must be in [0, 1), got {warmup_fraction!r}"
-        )
+from repro.maxplus.dater import check_warmup_fraction
 
 
 @dataclass(frozen=True)

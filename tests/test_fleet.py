@@ -41,6 +41,7 @@ from repro.service.catalog import (
     BREAKER_OPEN,
     WorkerInfo,
 )
+from repro.service.orchestrator import OrchestratorServer
 from repro.service.routing import rank
 
 
@@ -655,29 +656,59 @@ class TestFingerprintAffinity:
         assert before == again
 
 
+@pytest.fixture
+def orchestrator():
+    """An orchestrator with no workers, for its routing-key memo."""
+    orch = OrchestratorServer(WorkerCatalog(), port=0)
+    try:
+        yield orch
+    finally:
+        orch.server_close()
+
+
+def memoized_keys(orch: OrchestratorServer, *tasks) -> list[str]:
+    """The orchestrator's key for each task, asked twice (miss, then hit)."""
+    return [orch.routing_key(t) for t in tasks + tasks]
+
+
 class TestTaskRoutingKey:
-    def test_same_structure_different_timing_same_key(self):
+    def test_same_structure_different_timing_same_key(self, orchestrator):
         # comm_time changes firing times, not topology: same structure
         # fingerprint, same shard — the shared reachability exploration
         # stays hot for both.
         a = task_routing_key(pattern_task(2, 3, comm_time=1.0))
         b = task_routing_key(pattern_task(2, 3, comm_time=2.0))
         assert a == b
+        assert memoized_keys(
+            orchestrator, pattern_task(2, 3, comm_time=1.0),
+            pattern_task(2, 3, comm_time=2.0),
+        ) == [a, b, a, b]
 
-    def test_different_topology_different_key(self):
+    def test_different_topology_different_key(self, orchestrator):
         assert task_routing_key(pattern_task(2, 3)) != task_routing_key(
             pattern_task(3, 2)
         )
+        assert memoized_keys(
+            orchestrator, pattern_task(2, 3), pattern_task(3, 2)
+        ) == 2 * [task_routing_key(pattern_task(2, 3)),
+                  task_routing_key(pattern_task(3, 2))]
 
-    def test_model_is_part_of_the_key(self):
+    def test_model_is_part_of_the_key(self, orchestrator):
         strict = dict(pattern_task(2, 2), model="strict")
         assert task_routing_key(pattern_task(2, 2)) != task_routing_key(strict)
+        assert memoized_keys(orchestrator, pattern_task(2, 2), strict) == 2 * [
+            task_routing_key(pattern_task(2, 2)), task_routing_key(strict),
+        ]
 
-    def test_garbage_task_still_routes(self):
+    def test_garbage_task_still_routes(self, orchestrator):
         key = task_routing_key({"system": {"kind": "nope"}})
         assert isinstance(key, str) and key
         assert key == task_routing_key({"system": {"kind": "nope"}})
         assert isinstance(task_routing_key(object()), str)
+        odd = object()
+        assert memoized_keys(orchestrator, {"system": {"kind": "nope"}}, odd) == 2 * [
+            key, task_routing_key(odd),
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -780,6 +811,31 @@ class TestOrchestratorEndToEnd:
         for name in ("route", "shard", "merge"):
             assert metrics[f"repro_orchestrator_{name}_seconds"]["count"] == 1
         assert set(phases["request"]["children"]) == {"route", "merge"}
+
+    def test_route_window_counts_key_derivation(self, monkeypatch):
+        # A key derivation builds the task's mapping on a memo miss; the
+        # route span, histogram and profile phase must include it.
+        import repro.service.orchestrator as orchestrator_module
+
+        clock = _ManualClock()
+        derive = orchestrator_module.task_routing_key
+
+        def slow_derivation(task):
+            clock.advance(5.0)
+            return derive(task)
+
+        monkeypatch.setattr(
+            orchestrator_module, "task_routing_key", slow_derivation
+        )
+        with local_fleet(1, ping_interval=None) as fleet:
+            orch = fleet.orchestrator
+            orch.clock = clock
+            reply = orch.run_batch([pattern_task(2, 3)], request_id="r1")
+            metrics = orch.metrics.collect()
+            phases = orch.profiler.snapshot()["phases"]
+        assert reply["telemetry"]["spans"]["route_s"] == 5.0
+        assert metrics["repro_orchestrator_route_seconds"]["sum"] == 5.0
+        assert phases["request"]["children"]["route"]["total_s"] == 5.0
 
     def test_solve_forwarded(self):
         with local_fleet(2) as fleet:

@@ -180,3 +180,21 @@ class TestDater:
             dater_evolution(tpn, 0)
         with pytest.raises(StructuralError):
             dater_evolution(tpn, 3, np.ones((99, 3)))
+
+    @pytest.mark.parametrize("fraction", [-0.5, 1.0])
+    def test_warmup_fraction_outside_unit_interval_raises(self, fraction):
+        # On this net, whose rate is 2.0, a share of -0.5 indexed the
+        # completions from the end (3.0 from both estimators), and 1.0
+        # kept no completion: a "zero span" StructuralError from the
+        # dater, NaN from the coupling.
+        from repro.core.comparison import coupled_throughputs
+        from repro.mapping.examples import single_communication
+
+        tpn = build_overlap_tpn(single_communication(2, 3, comm_time=1.0))
+        with pytest.raises(ValueError, match="warmup_fraction"):
+            dater_throughput(tpn, 100, warmup_fraction=fraction)
+        with pytest.raises(ValueError, match="warmup_fraction"):
+            coupled_throughputs(
+                tpn, {"det": "deterministic"}, n_firings=100,
+                warmup_fraction=fraction,
+            )

@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import random
+import sys
 import threading
 import time
 
@@ -25,7 +28,8 @@ from repro.campaign import (
     run_campaign,
     unit_task_payload,
 )
-from repro.evaluate import TaskFailure, evaluate, get_solver
+from repro.evaluate import TaskFailure, evaluate, evaluate_tasks, get_solver
+from repro.evaluate.fingerprint import mapping_fingerprint
 from repro.exceptions import ServiceError
 from repro.mapping.examples import named_system, single_communication
 from repro.service import (
@@ -210,6 +214,20 @@ class TestScoreDigest:
         a = Mapping(app, plat, [[0], [1, 2]])
         b = Mapping(app, plat, [[3], [2, 0]])
         assert score_digest(det, a, "overlap") == score_digest(det, b, "overlap")
+
+    def test_fingerprint_memo_matches_a_fresh_computation(self):
+        from repro.mapping.mapping import Mapping
+
+        mp = single_communication(2, 3)
+        overlap = mapping_fingerprint(mp, "overlap")
+        strict = mapping_fingerprint(mp, "strict")
+        assert mapping_fingerprint(mp, "overlap") is overlap  # memoized
+        # An equal mapping built afresh has no memo yet: it computes.
+        fresh = Mapping(mp.application, mp.platform, mp.teams)
+        assert fresh == mp
+        assert mapping_fingerprint(fresh, "overlap") == overlap
+        assert mapping_fingerprint(fresh, "strict") == strict
+        assert overlap != strict
 
 
 # ----------------------------------------------------------------------
@@ -579,6 +597,115 @@ class TestEngineDegradation:
             stats["executed"] + stats["disk_hits"]
             + stats["memo_hits"] + stats["coalesced"]
         )
+
+
+def expected_results(tasks: list) -> list:
+    """What ``run_batch`` must answer: ``evaluate_tasks`` on the
+    normalized tasks, and the resolution failure in every other slot."""
+    triples: dict[int, tuple] = {}
+    results: list = [None] * len(tasks)
+    for i, task in enumerate(tasks):
+        try:
+            triples[i] = normalize_task(task)
+        except ServiceError as exc:
+            results[i] = TaskFailure.of(exc)
+    values = evaluate_tasks(list(triples.values()), on_error="record")
+    for i, value in zip(triples, values):
+        results[i] = value
+    return results
+
+
+class TestTaskMemo:
+    """Each distinct wire task is resolved once per engine."""
+
+    def test_repeat_batch_matches_evaluate_tasks(self):
+        malformed = dict(pattern_task(), extra=1)
+        bad_option = dict(pattern_task(), options={"warp_speed": 9})
+        batch = [
+            pattern_task(2, 3), malformed, pattern_task(2, 3),
+            bad_option, pattern_task(3, 2, solver="exponential"),
+            pattern_task(2, 3),
+        ]
+        expected = expected_results(batch)
+        assert [type(r) for r in expected].count(TaskFailure) == 2
+        engine = EvaluationEngine()
+        first, first_stats = engine.run_batch(batch)
+        second, second_stats = engine.run_batch(batch)
+        assert first == expected
+        assert second == expected
+        assert first_stats["executed"] == 2
+        assert second_stats["executed"] == 0
+        # In-batch duplicates ride their first copy, as at a cold start.
+        assert second_stats["memo_hits"] == 2
+        assert second_stats["coalesced"] == 2
+        assert second_stats["failures"] == 2
+        assert len(engine.resolved) == 2
+
+    def test_bounded_by_the_structure_cache(self):
+        tasks = [pattern_task(u, v) for u in range(1, 6) for v in range(1, 5)]
+        assert len(tasks) == 20
+        expected = expected_results(tasks)
+        engine = EvaluationEngine(max_entries=4)
+        for _ in range(2):
+            results, _stats = engine.run_batch(tasks)
+            assert results == expected
+            assert len(engine.resolved) <= 4
+
+    def test_unresolved_task_fails_the_same_way_again(self):
+        poison = {
+            "system": {"kind": "named", "params": {"name": "atlantis"}},
+            "solver": "deterministic",
+        }
+        engine = EvaluationEngine()
+        (first,), _ = engine.run_batch([poison])
+        (again,), stats = engine.run_batch([poison])
+        assert isinstance(first, TaskFailure)
+        assert again == first
+        assert stats["failures"] == 1
+        assert len(engine.resolved) == 0
+
+    def test_concurrent_batches_keep_answers_and_bound(self):
+        # More threads than cores on overlapping batches, switching
+        # often: a lost update in the memo would break the bound or hand
+        # a task another task's resolution.
+        tasks = [pattern_task(u, v) for u in range(1, 4) for v in range(1, 4)]
+        expected = dict(zip(map(json.dumps, tasks), expected_results(tasks)))
+        engine = EvaluationEngine(max_entries=4)
+        wrong: list = []
+        sizes: list[int] = []
+        deadline = time.monotonic() + 10.0
+
+        def hammer(seed: int) -> None:
+            rng = random.Random(seed)
+            for _ in range(40):
+                if time.monotonic() > deadline:
+                    return
+                batch = rng.sample(tasks, 4)
+                results, _stats = engine.run_batch(batch)
+                sizes.append(len(engine.resolved))
+                wrong.extend(
+                    (task, value)
+                    for task, value in zip(batch, results)
+                    if value != expected[json.dumps(task)]
+                )
+
+        n_threads = 4 * (os.cpu_count() or 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(k,))
+                for k in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
+        assert sizes and max(sizes) <= 4
 
 
 class TestShutdownDrain:

@@ -42,8 +42,13 @@ class TestPackageSurface:
     def test_import_leaves_scipy_stats_unloaded(self):
         # scipy.stats takes about a second to import; the laws that need
         # it import it when they are built, so start-up does not pay it.
+        # networkx is likewise imported only by the analysis helpers.
         src = str(Path(repro.__file__).resolve().parents[1])
-        code = "import sys, repro, repro.cli; print('scipy.stats' in sys.modules)"
+        code = (
+            "import sys, repro, repro.cli; "
+            "print('scipy.stats' in sys.modules); "
+            "print('networkx' in sys.modules)"
+        )
         out = subprocess.run(
             [sys.executable, "-c", code],
             env={**os.environ, "PYTHONPATH": src},
@@ -52,7 +57,9 @@ class TestPackageSurface:
             check=True,
             timeout=120,
         )
-        assert out.stdout.strip() == "False"
+        stats_loaded, networkx_loaded = out.stdout.split()
+        assert stats_loaded == "False"
+        assert networkx_loaded == "False"
 
 
 class TestFacade:
