@@ -34,14 +34,14 @@ def main() -> None:
     print(f"unbounded throughput: det = {unbounded_det:.4f}, "
           f"exp = {unbounded_exp:.4f}\n")
 
-    print("buffer B | exp (exact CTMC) | retained | det (DES) | retained")
+    print("buffer B | exp (exact CTMC) | retained | det (TPN) | retained")
     for cap in (1, 2, 4, 8):
         rho_exp = exponential_throughput(
             mapping, "overlap", buffer_capacity=cap, max_states=500_000,
         )
         tpn = build_overlap_tpn(mapping, buffer_capacity=cap)
         rho_det = simulate_tpn(
-            tpn, n_datasets=4000, law="deterministic", seed=0, throttle=None
+            tpn, n_datasets=4000, law="deterministic", seed=0
         ).steady_state_throughput()
         print(
             f"{cap:8d} | {rho_exp:16.4f} | {100 * rho_exp / unbounded_exp:7.1f}% "

@@ -88,7 +88,13 @@ def unit_task_payload(unit: RunUnit) -> dict:
 
 @dataclass
 class CampaignRunSummary:
-    """What one :func:`run_campaign` call did."""
+    """What one :func:`run_campaign` call did.
+
+    ``executed`` counts the units this call scored into the store.
+    ``service`` (service runs only) sums the service's per-batch stats:
+    how many of those units it actually ran and how many it answered
+    from its disk cache or memo.
+    """
 
     campaign: str
     store_path: str
@@ -96,17 +102,24 @@ class CampaignRunSummary:
     executed: int
     skipped: int
     scenarios: list[str] = field(default_factory=list)
+    service: dict[str, int] | None = None
 
     def render(self) -> str:
-        return "\n".join(
-            [
-                f"campaign   : {self.campaign} "
-                f"({self.total} units in {len(self.scenarios)} scenarios)",
-                f"store      : {self.store_path}",
-                f"executed   : {self.executed}",
-                f"skipped    : {self.skipped} (already stored or duplicate)",
-            ]
-        )
+        lines = [
+            f"campaign   : {self.campaign} "
+            f"({self.total} units in {len(self.scenarios)} scenarios)",
+            f"store      : {self.store_path}",
+            f"executed   : {self.executed}",
+            f"skipped    : {self.skipped} (already stored or duplicate)",
+        ]
+        if self.service is not None:
+            disk = self.service.get("disk_hits", 0)
+            memo = self.service.get("memo_hits", 0)
+            lines.append(
+                f"service    : executed {self.service.get('executed', 0)}, "
+                f"cache hits {disk + memo} ({disk} disk + {memo} memo)"
+            )
+        return "\n".join(lines)
 
 
 def run_campaign(
@@ -180,6 +193,7 @@ def run_campaign(
             _unit_task(unit)
 
     executed = 0
+    service_stats: dict[str, int] | None = None if client is None else {}
     # One worker pool serves every chunk of the whole campaign — created
     # lazily, so a fully-resumed run (0 pending units) never spawns it.
     # Via a service client, no pool: fan-out is the server's business.
@@ -204,8 +218,10 @@ def run_campaign(
                 chunk = pending[start:start + chunk_size]
                 request_id = None
                 if client is not None:
-                    values = _run_chunk_via_service(chunk, client)
+                    values, stats = _run_chunk_via_service(chunk, client)
                     request_id = client.last_request_id
+                    for key, count in stats.items():
+                        service_stats[key] = service_stats.get(key, 0) + count
                 else:
                     values = evaluate_tasks(
                         [_unit_task(u) for u in chunk],
@@ -229,13 +245,16 @@ def run_campaign(
         executed=executed,
         skipped=skipped,
         scenarios=[s.name for s in spec.scenarios],
+        service=service_stats,
     )
 
 
 def _run_chunk_via_service(
     chunk: list[RunUnit], client: "ServiceClient"
-) -> list[float]:
+) -> tuple[list[float], dict[str, int]]:
     """Score one chunk through a running service; failures abort the run.
+
+    Returns the chunk's values and the service's stats for the batch.
 
     The store only ever holds completed scores, so a unit the service
     could not evaluate (or a dead server, a blown deadline, an
@@ -252,7 +271,7 @@ def _run_chunk_via_service(
         return f" [request {rid}]" if rid else ""
 
     try:
-        values, failures, _stats = client.evaluate_batch(
+        values, failures, stats = client.evaluate_batch(
             [unit_task_payload(u) for u in chunk]
         )
     except ServiceOverloaded as exc:
@@ -290,7 +309,7 @@ def _run_chunk_via_service(
         raise CampaignError(
             f"service returned {len(values)} value(s) for {len(chunk)} unit(s)"
         )
-    return values
+    return values, stats
 
 
 def _unit_task(unit: RunUnit) -> tuple:

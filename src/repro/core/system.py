@@ -120,8 +120,10 @@ class StreamingSystem:
         """Simulate the system (Section 7).
 
         ``engine`` selects ``"system"`` (direct recurrences, SimGrid
-        stand-in) or ``"tpn"`` (event-graph simulation, ``eg_sim``
-        stand-in).
+        stand-in) or ``"tpn"`` (the event graph's dater recursion,
+        ``eg_sim`` stand-in). Other keywords go to the chosen simulator:
+        ``bandwidth_efficiency`` and ``correlation`` to the system one;
+        the event-graph one takes none.
         """
         spec = LawSpec.of(law, **(law_params or {}))
         if engine == "system":

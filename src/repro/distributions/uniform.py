@@ -4,7 +4,9 @@ Note on the paper's Fig. 17: the paper lists "Uniform" among the
 *non*-N.B.U.E. laws, but a uniform law on ``[a, b]`` with ``a >= 0`` has an
 increasing hazard rate, hence is N.B.U. and a fortiori N.B.U.E.
 (``E[X - t | X > t] = (b - t)/2 <= (a + b)/2`` for ``a <= t < b``). We
-classify it as N.B.U.E. and discuss the discrepancy in EXPERIMENTS.md.
+classify it as N.B.U.E., which the paper's figure itself bears out: its
+uniform curve lies between the Theorem 7 bounds (see
+:mod:`repro.experiments.fig17`).
 """
 
 from __future__ import annotations

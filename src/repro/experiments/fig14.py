@@ -18,7 +18,8 @@ driver reports two regimes:
   explanation describes: there the exponential and constant throughputs
   agree within ≈1 %, exactly as claimed.
 
-EXPERIMENTS.md discusses the partial divergence on the uniform draw.
+The claim therefore holds in the limit its explanation describes, and
+only in part on the paper's own uniform draw.
 """
 
 from __future__ import annotations
@@ -117,7 +118,6 @@ def run(config: Fig14Config | None = None) -> ExperimentResult:
     result.notes.append(
         "paper: all values within ~2% of the constant case. Reproduced "
         "exactly in the 'dominant' regime; the 'uniform' draw narrows the "
-        "exp/cst gap (vs homogeneous) without closing it — see "
-        "EXPERIMENTS.md"
+        "exp/cst gap (vs homogeneous) without closing it"
     )
     return result

@@ -5,7 +5,8 @@ with shape < 1 (DFR) and hyperexponential laws fall *below* the
 exponential lower bound; gamma with shape > 1 and uniform laws stay
 inside (they are in fact N.B.U.E. — the paper's own Fig. 17 shows the
 "Gamma 2/5/8" and "Uniform" curves between the bounds, consistent with
-our classification; see EXPERIMENTS.md for the discussion).
+our classification; :mod:`repro.distributions.uniform` gives the
+hazard-rate argument).
 """
 
 from __future__ import annotations

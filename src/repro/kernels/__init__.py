@@ -1,9 +1,9 @@
-"""Shared performance kernels consumed by the petri, markov and sim layers.
+"""Array kernels of the reachability explorer.
 
 The kernel layer turns a :class:`~repro.petri.net.TimedEventGraph` into
-flat numpy structures once, so every hot loop downstream (reachability
-BFS, CTMC assembly, discrete-event simulation) works on contiguous arrays
-instead of Python lists of dataclasses.
+dense numpy incidence matrices once, so the batched reachability BFS
+(whose arcs the Markov builder then assembles into a CTMC) works on
+contiguous arrays instead of Python lists of dataclasses.
 """
 
 from repro.kernels.incidence import IncidenceKernel

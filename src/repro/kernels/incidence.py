@@ -1,4 +1,4 @@
-"""Incidence matrices and flat adjacency of a timed event graph.
+"""Incidence matrices of a timed event graph.
 
 One :class:`IncidenceKernel` is built (and cached) per net; it carries
 
@@ -7,18 +7,13 @@ One :class:`IncidenceKernel` is built (and cached) per net; it carries
   consumes from / produces into the place (event graphs give each place
   exactly one input and one output transition, so every column holds a
   single 1 in each matrix);
-* their difference ``delta`` (int16), the marking update of one firing;
-* CSR-style **flat adjacency**: ``in_flat[in_offsets[t]:in_offsets[t+1]]``
-  are the input places of transition ``t`` (same for ``out_*``), stored as
-  int32 — the array-based fast path of the simulator walks these instead
-  of per-transition Python lists;
-* ``place_src`` / ``place_dst`` — the producing / consuming transition of
-  each place, replacing attribute access on :class:`Place` dataclasses.
+* their difference ``delta`` (int16), the marking update of one firing.
 
 The reachability explorer uses :meth:`enabled` (one matrix product per
 frontier batch) and ``delta`` (one broadcast add per batch); the Markov
-builder consumes the flat arc arrays derived from the exploration; the
-simulator fast path consumes the flat adjacency.
+builder consumes the flat arc arrays derived from the exploration. The
+matrices are dense, so nothing else builds them: the simulator and the
+(max,+) evaluators walk the net's places instead.
 """
 
 from __future__ import annotations
@@ -37,20 +32,9 @@ class IncidenceKernel:
     consumption: np.ndarray  # int8 (n_transitions, n_places)
     production: np.ndarray  # int8 (n_transitions, n_places)
     delta: np.ndarray  # int16 (n_transitions, n_places)
-    in_offsets: np.ndarray  # int32 (n_transitions + 1)
-    in_flat: np.ndarray  # int32
-    out_offsets: np.ndarray  # int32 (n_transitions + 1)
-    out_flat: np.ndarray  # int32
-    place_src: np.ndarray  # int32 (n_places)
-    place_dst: np.ndarray  # int32 (n_places)
     # float32 transpose of ``consumption``, kept so the enabled-check is a
     # single BLAS matrix product instead of a (batch, n_t, n_p) temporary.
     _consumption_t: np.ndarray = field(repr=False, default=None)
-    # lazily materialized Python-list views of the flat adjacency (the
-    # simulator fast path is called once per replication; scalar access
-    # into lists is what makes its event loop fast)
-    _in_lists: list | None = field(repr=False, default=None, compare=False)
-    _out_lists: list | None = field(repr=False, default=None, compare=False)
 
     @classmethod
     def from_net(cls, net) -> "IncidenceKernel":
@@ -58,28 +42,16 @@ class IncidenceKernel:
         n_t, n_p = net.n_transitions, net.n_places
         consumption = np.zeros((n_t, n_p), dtype=np.int8)
         production = np.zeros((n_t, n_p), dtype=np.int8)
-        place_src = np.empty(n_p, dtype=np.int32)
-        place_dst = np.empty(n_p, dtype=np.int32)
         for p in net.places:
             consumption[p.dst, p.index] = 1
             production[p.src, p.index] = 1
-            place_src[p.index] = p.src
-            place_dst[p.index] = p.dst
         delta = production.astype(np.int16) - consumption.astype(np.int16)
-        in_offsets, in_flat = _csr(net.in_places, n_p)
-        out_offsets, out_flat = _csr(net.out_places, n_p)
         return cls(
             n_transitions=n_t,
             n_places=n_p,
             consumption=consumption,
             production=production,
             delta=delta,
-            in_offsets=in_offsets,
-            in_flat=in_flat,
-            out_offsets=out_offsets,
-            out_flat=out_flat,
-            place_src=place_src,
-            place_dst=place_dst,
             _consumption_t=consumption.T.astype(np.float32),
         )
 
@@ -105,33 +77,3 @@ class IncidenceKernel:
         are enabled (so no entry goes negative).
         """
         return markings[state_ix] + self.delta[trans_ix]
-
-    def in_places_list(self) -> list[list[int]]:
-        """Flat adjacency as Python lists (fast scalar access in loops)."""
-        if self._in_lists is None:
-            object.__setattr__(
-                self, "_in_lists", _unflatten(self.in_offsets, self.in_flat)
-            )
-        return self._in_lists
-
-    def out_places_list(self) -> list[list[int]]:
-        if self._out_lists is None:
-            object.__setattr__(
-                self, "_out_lists", _unflatten(self.out_offsets, self.out_flat)
-            )
-        return self._out_lists
-
-
-def _csr(table: list[list[int]], n_places: int) -> tuple[np.ndarray, np.ndarray]:
-    offsets = np.zeros(len(table) + 1, dtype=np.int32)
-    offsets[1:] = np.cumsum([len(row) for row in table])
-    flat = np.fromiter(
-        (p for row in table for p in row), dtype=np.int32, count=int(offsets[-1])
-    )
-    return offsets, flat
-
-
-def _unflatten(offsets: np.ndarray, flat: np.ndarray) -> list[list[int]]:
-    data = flat.tolist()
-    bounds = offsets.tolist()
-    return [data[bounds[t]:bounds[t + 1]] for t in range(len(bounds) - 1)]

@@ -13,7 +13,7 @@ from repro.maxplus.cycle import (
     max_cycle_ratio,
     max_cycle_ratio_brute_force,
 )
-from repro.maxplus.dater import dater_evolution, dater_throughput
+from repro.maxplus.dater import dater_evolution
 
 __all__ = [
     "NEG_INF",
@@ -26,5 +26,4 @@ __all__ = [
     "max_cycle_ratio",
     "max_cycle_ratio_brute_force",
     "dater_evolution",
-    "dater_throughput",
 ]

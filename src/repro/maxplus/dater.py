@@ -9,11 +9,11 @@ throughout the paper's proofs (Theorem 5)::
 with ``D_s(j) = -inf … 0`` boundary for ``j < 0`` (resources initially
 idle, sources available at time 0). Evaluating the recursion directly
 gives the exact firing epochs — deterministic or sampled — without any
-event calendar, which makes it both a third independent throughput
-evaluator and the computational backbone of the stochastic-comparison
-experiments: feeding two *coupled* time samples through the same
-recursion realizes the monotonicity arguments of Theorems 5/6 sample path
-by sample path.
+event calendar. It is the engine of the event-graph simulator
+(:func:`repro.sim.tpn_sim.simulate_tpn`) and the backbone of the
+stochastic-comparison experiments: feeding two *coupled* time samples
+through the same recursion realizes the monotonicity arguments of
+Theorems 5/6 sample path by sample path.
 """
 
 from __future__ import annotations
@@ -62,10 +62,10 @@ def dater_evolution(
 
     Notes
     -----
-    Implements consume-at-start single-server semantics like the DES and
-    the CTMC: the serialization between successive firings of the same
-    transition is carried by its resource-cycle places, which the builders
-    always provide.
+    Implements consume-at-start single-server semantics like the system
+    simulator and the CTMC: the serialization between successive firings
+    of the same transition is carried by its resource-cycle places, which
+    the builders always provide.
     """
     if n_firings < 1:
         raise ValueError("n_firings must be >= 1")
@@ -107,31 +107,6 @@ def dater_evolution(
                         start = prev
             d[t, k] = start + tau[t, k]
     return d
-
-
-def dater_throughput(
-    tpn: TimedEventGraph,
-    n_firings: int,
-    times: np.ndarray | None = None,
-    *,
-    warmup_fraction: float = 0.2,
-) -> float:
-    """Throughput estimate from the dater recursion.
-
-    Counts last-column firings: with ``m`` last-column transitions each
-    firing ``n`` times, the rate is estimated on the post-warm-up window
-    of the merged completion stream.
-    """
-    check_warmup_fraction(warmup_fraction)
-    d = dater_evolution(tpn, n_firings, times)
-    last = tpn.last_column_transitions()
-    completions = np.sort(d[last, :].ravel())
-    n = completions.size
-    w = int(n * warmup_fraction)
-    span = completions[-1] - (completions[w - 1] if w > 0 else 0.0)
-    if span <= 0:
-        raise StructuralError("degenerate dater evolution (zero span)")
-    return (n - w) / span
 
 
 def sample_times(

@@ -131,10 +131,11 @@ class TimedEventGraph:
     def kernel(self):
         """Cached :class:`~repro.kernels.IncidenceKernel` of this net.
 
-        Flat incidence matrices and adjacency shared by the reachability
-        explorer, the Markov builder and the simulator fast path. Like the
-        other cached topology accessors, build the net fully before first
-        access.
+        Dense ``(n_transitions, n_places)`` incidence matrices for the
+        reachability explorer; only marking-level analyses need them, so
+        the simulator and the (max,+) evaluators never build them. Like
+        the other cached topology accessors, build the net fully before
+        first access.
         """
         from repro.kernels import IncidenceKernel
 

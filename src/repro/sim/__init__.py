@@ -1,13 +1,16 @@
-"""Discrete-event simulation substrate (paper Section 7's tooling).
+"""Simulation substrate (paper Section 7's tooling).
 
 Two independent simulators cross-validate the analytical results:
 
 * :mod:`repro.sim.tpn_sim` — simulates the timed event graph itself
-  (our stand-in for ERS' ``eg_sim``);
+  through its (max,+) dater recursion (our stand-in for ERS' ``eg_sim``);
 * :mod:`repro.sim.system_sim` — simulates the application/platform/mapping
   directly through the Section 2 recurrences, without any Petri net
   (our stand-in for the paper's SimGrid experiments, including the
   bandwidth-efficiency correction).
+
+Both return the sorted completions of data sets ``0 .. n - 1``; on
+constant times they agree bit for bit.
 """
 
 from repro.sim.results import SimulationResult

@@ -13,10 +13,12 @@ from repro.maxplus.dater import check_warmup_fraction
 class SimulationResult:
     """Outcome of one simulation run.
 
-    ``completion_times[k]`` is the instant the ``k``-th data set left the
-    last stage. The paper's estimator divides processed instances by total
-    completion time; :meth:`throughput_after` reproduces the Fig. 10/11
-    convergence curves from a single run.
+    ``completion_times`` holds the instants data sets ``0 .. n - 1`` left
+    the last stage, sorted: ``completion_times[k]`` is the ``k + 1``-th
+    completion in time, whichever data set it was. The paper's estimator
+    divides processed instances by total completion time;
+    :meth:`throughput_after` reproduces the Fig. 10/11 convergence curves
+    from a single run.
 
     ``latencies`` (system simulator only) holds, per *data set index*
     ``n``, the sojourn time between the start of the data set's first

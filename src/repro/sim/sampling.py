@@ -1,17 +1,15 @@
-"""Per-resource samplers shared by the simulators.
+"""Per-resource laws shared by the simulators.
 
 The I.I.D. hypothesis of Section 2.4 attaches one law per hardware
 resource; a :class:`LawSpec` freezes a family/shape and instantiates it
-with each resource's mean. Samples are drawn in vectorized batches (the
-numpy generator amortizes much better over blocks than per-event calls).
+with each resource's mean. Both simulators draw every duration of a run
+up front, in vectorized calls.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.distributions.base import Distribution
 from repro.distributions.registry import make_distribution
@@ -51,40 +49,3 @@ def as_factory(law: "LawLike") -> Callable[[float], Distribution]:
     if callable(law):
         return law
     raise TypeError(f"cannot interpret {law!r} as a law")
-
-
-class SampleBuffer:
-    """Batch sampler for one distribution (vectorized draws, FIFO reads)."""
-
-    __slots__ = ("_dist", "_rng", "_block", "_buf", "_pos")
-
-    def __init__(
-        self, dist: Distribution, rng: np.random.Generator, block: int = 1024
-    ) -> None:
-        self._dist = dist
-        self._rng = rng
-        self._block = int(block)
-        self._buf = np.empty(0)
-        self._pos = 0
-
-    def draw(self) -> float:
-        if self._pos >= self._buf.size:
-            self._buf = np.asarray(self._dist.sample(self._rng, self._block), dtype=float)
-            self._pos = 0
-        x = float(self._buf[self._pos])
-        self._pos += 1
-        return x
-
-    def draw_block(self, n: int) -> np.ndarray:
-        """Draw ``n`` samples at once (bypasses the FIFO buffer)."""
-        return np.asarray(self._dist.sample(self._rng, n), dtype=float)
-
-    def draw_blocks(self, n_blocks: int, size: int) -> np.ndarray:
-        """Draw an ``(n_blocks, size)`` matrix in one generator call.
-
-        The underlying stream is consumed exactly as ``n_blocks * size``
-        flat draws would consume it (row-major), so callers can switch
-        between the flat and the blocked API without changing the sample
-        sequence.
-        """
-        return self.draw_block(n_blocks * size).reshape(n_blocks, size)

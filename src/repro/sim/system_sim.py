@@ -56,7 +56,7 @@ import numpy as np
 from repro.exceptions import UnsupportedModelError
 from repro.mapping.mapping import Mapping
 from repro.sim.results import SimulationResult, check_warmup_fraction
-from repro.sim.sampling import SampleBuffer, as_factory
+from repro.sim.sampling import as_factory
 from repro.types import ExecutionModel
 
 
@@ -68,8 +68,8 @@ def _unit_draws(
     dist = factory(1.0)
     if dist.name == "deterministic":
         return np.ones(shape)
-    buf = SampleBuffer(dist, rng, block=shape[0] * shape[1])
-    return buf.draw_blocks(shape[0], shape[1])
+    flat = dist.sample(rng, shape[0] * shape[1])
+    return np.asarray(flat, dtype=float).reshape(shape)
 
 
 def _validate_sim_args(

@@ -31,7 +31,8 @@ from tests.conftest import make_mapping
 
 
 class TestFourWayAgreementOverlap:
-    """Symbolic == SCC CTMC == TPN DES == system DES, exponential Overlap."""
+    """Symbolic == SCC CTMC == TPN simulator == system simulator,
+    exponential Overlap."""
 
     @pytest.mark.parametrize(
         "teams",
@@ -59,6 +60,10 @@ class TestFourWayAgreementOverlap:
         # by time credits fast branches with data sets they have not
         # received yet: on [[0, 1], [2, 3, 4]] it reads 9% above.
         assert sim.throughput == pytest.approx(symbolic, rel=0.04)
+        tpn_sim = simulate_tpn(
+            tpn, n_datasets=120_000, law="exponential", seed=3
+        )
+        assert tpn_sim.throughput == pytest.approx(symbolic, rel=0.04)
 
 
 class TestStrictConsistency:

@@ -1,9 +1,9 @@
 """Kernel-layer equivalence tests.
 
-The vectorized reachability BFS and the simulator fast path are both
-re-implementations of seed code kept in-tree as reference oracles; these
-tests pin them to the oracles bit-for-bit, on hand-built nets, on builder
-output, and on randomly generated bounded event graphs.
+The vectorized reachability BFS re-implements seed code kept in-tree as
+a reference oracle; these tests pin it to the oracle bit-for-bit, on
+hand-built nets, on builder output, and on randomly generated bounded
+event graphs.
 """
 
 from __future__ import annotations
@@ -11,15 +11,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.petri import (
-    build_overlap_tpn,
-    build_strict_tpn,
-    explore,
-    explore_reference,
-)
+from repro.petri import build_strict_tpn, explore, explore_reference
 from repro.petri.net import TimedEventGraph
 from repro.petri.reachability import MAX_PLACE_BOUND
-from repro.sim import simulate_tpn
 from repro.types import PlaceKind, TransitionKind
 
 from tests.conftest import make_mapping
@@ -77,14 +71,6 @@ class TestIncidenceKernel:
             expected[tpn.in_places[t]] -= 1
             expected[tpn.out_places[t]] += 1
             assert (m + kern.delta[t] == expected).all()
-
-    def test_flat_adjacency_roundtrip(self):
-        tpn = build_overlap_tpn(make_mapping([[0], [1, 2]]))
-        kern = tpn.kernel
-        assert kern.in_places_list() == tpn.in_places
-        assert kern.out_places_list() == tpn.out_places
-        assert kern.place_src.tolist() == [p.src for p in tpn.places]
-        assert kern.place_dst.tolist() == [p.dst for p in tpn.places]
 
     def test_enabled_matches_marking_semantics(self):
         tpn = random_event_graph(0)
@@ -160,47 +146,6 @@ class TestPlaceBoundValidation:
         tpn = build_strict_tpn(make_mapping([[0], [1]]))
         result = explorer(tpn, place_bound=MAX_PLACE_BOUND)
         assert result.n_states > 0
-
-
-class TestSimulatorEngines:
-    @pytest.mark.parametrize("law", ["exponential", "uniform"])
-    @pytest.mark.parametrize("builder", [build_strict_tpn, build_overlap_tpn])
-    def test_fast_matches_reference_event_for_event(self, law, builder):
-        tpn = builder(make_mapping([[0], [1, 2]], seed=3))
-        ref = simulate_tpn(tpn, n_datasets=300, law=law, seed=99, engine="reference")
-        fast = simulate_tpn(tpn, n_datasets=300, law=law, seed=99, engine="fast")
-        assert fast.n_events == ref.n_events
-        assert np.array_equal(fast.completion_times, ref.completion_times)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_random_mappings_match(self, seed):
-        tpn = build_strict_tpn(make_mapping([[0], [1, 2], [3, 4]], seed=seed))
-        ref = simulate_tpn(tpn, n_datasets=150, seed=seed, engine="reference")
-        fast = simulate_tpn(tpn, n_datasets=150, seed=seed, engine="fast")
-        assert fast.n_events == ref.n_events
-        assert np.array_equal(fast.completion_times, ref.completion_times)
-
-    def test_paper_system_matches(self):
-        from repro.experiments.fig10 import paper_system
-
-        tpn = build_overlap_tpn(paper_system())
-        ref = simulate_tpn(tpn, n_datasets=300, seed=7, engine="reference")
-        fast = simulate_tpn(tpn, n_datasets=300, seed=7, engine="fast")
-        assert fast.n_processed == 300
-        assert np.array_equal(fast.completion_times, ref.completion_times)
-
-    def test_throttle_none_matches(self):
-        tpn = build_overlap_tpn(make_mapping([[0], [1]]))
-        ref = simulate_tpn(
-            tpn, n_datasets=100, seed=1, throttle=None, engine="reference"
-        )
-        fast = simulate_tpn(tpn, n_datasets=100, seed=1, throttle=None, engine="fast")
-        assert np.array_equal(fast.completion_times, ref.completion_times)
-
-    def test_unknown_engine_rejected(self):
-        tpn = build_strict_tpn(make_mapping([[0], [1]]))
-        with pytest.raises(ValueError, match="engine"):
-            simulate_tpn(tpn, n_datasets=1, engine="turbo")
 
 
 class TestErrorParity:

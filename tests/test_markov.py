@@ -111,7 +111,8 @@ class TestTpnBridge:
         rho = tpn_throughput_exponential(tpn)
         # Hand-check: cycle comp0 -> comm -> comp1 where comp1 and comp0
         # can overlap (different processors) but comm is shared.
-        # Validate against the DES instead of re-deriving.
+        # Validate against the event-graph simulator instead of
+        # re-deriving.
         from repro.sim.tpn_sim import simulate_tpn
 
         sim = simulate_tpn(tpn, n_datasets=40_000, law="exponential", seed=9)
@@ -176,13 +177,12 @@ class TestTpnBridge:
         assert 0.8 * target < values[-1] < target
 
     def test_capacitated_ctmc_matches_des(self):
-        """The finite-buffer marking chain is exact: DES agrees."""
+        """The finite-buffer marking chain is exact: the event-graph
+        simulator agrees."""
         from repro.sim.tpn_sim import simulate_tpn
 
         mp = make_mapping([[0], [1]], works=[1.0, 1.0], files=[1.0])
         tpn = build_overlap_tpn(mp, buffer_capacity=2)
         exact = tpn_throughput_exponential(tpn)
-        sim = simulate_tpn(
-            tpn, n_datasets=60_000, law="exponential", seed=8, throttle=None
-        )
+        sim = simulate_tpn(tpn, n_datasets=60_000, law="exponential", seed=8)
         assert sim.steady_state_throughput() == pytest.approx(exact, rel=0.03)

@@ -9,12 +9,11 @@ from repro.exceptions import StructuralError
 from repro.maxplus import (
     TokenGraph,
     dater_evolution,
-    dater_throughput,
     max_cycle_ratio,
     max_cycle_ratio_brute_force,
 )
-from repro.maxplus.dater import sample_times
 from repro.petri import build_overlap_tpn, build_strict_tpn
+from repro.sim import simulate_system, simulate_tpn
 
 from tests.conftest import make_mapping
 
@@ -113,24 +112,22 @@ class TestDater:
             mp = make_mapping([[0], [1, 2]], seed=seed)
             tpn = build_strict_tpn(mp)
             rho = tpn_throughput_deterministic(tpn)
-            est = dater_throughput(tpn, 400)
+            est = simulate_tpn(
+                tpn, n_datasets=400 * tpn.n_rows, law="deterministic"
+            ).steady_state_throughput()
             assert est == pytest.approx(rho, rel=0.02)
 
     def test_deterministic_matches_des_exactly(self):
-        """Constant durations → the DES and the dater agree event by event."""
-        from repro.sim.tpn_sim import simulate_tpn
-
+        """Constant durations → the dater of the Strict net and the
+        system simulator's recurrences complete every data set at the
+        same instant: 4.5 + 3.5·k (send 1.5 then compute 2 per period)."""
         mp = make_mapping([[0], [1]], works=[1.0, 2.0], files=[1.5])
         tpn = build_strict_tpn(mp)
         n = 40
-        d = dater_evolution(tpn, n)
-        last = tpn.last_column_transitions()
-        completions = np.sort(d[last, :].ravel())
-        sim = simulate_tpn(
-            tpn, n_datasets=len(completions), law="deterministic",
-            seed=0, throttle=None,
-        )
-        assert np.allclose(sim.completion_times, completions, atol=1e-9)
+        sim = simulate_tpn(tpn, n_datasets=n, law="deterministic")
+        direct = simulate_system(mp, "strict", n_datasets=n)
+        assert np.array_equal(sim.completion_times, direct.completion_times)
+        assert np.array_equal(sim.completion_times, 4.5 + 3.5 * np.arange(n))
 
     def test_paper_system_matches_symbolic(self):
         """The Fig. 10 system's Overlap net: a positive critical-cycle
@@ -142,24 +139,25 @@ class TestDater:
         mp = paper_system()
         tpn = build_overlap_tpn(mp)
         assert max_cycle_ratio(tpn.to_token_graph()).ratio > 0
-        est = dater_throughput(tpn, 50)
+        est = simulate_tpn(
+            tpn, n_datasets=50 * tpn.n_rows, law="deterministic"
+        ).steady_state_throughput()
         assert est == pytest.approx(
             overlap_throughput(mp, "deterministic"), rel=0.05
         )
 
     def test_exponential_dater_matches_theory(self):
-        """Stochastic dater estimate ≈ exact CTMC value (Strict)."""
+        """Dater estimate on sampled durations ≈ exact CTMC value (Strict)."""
         from repro.core import strict_exponential_throughput
         from repro.distributions import Exponential
 
         mp = make_mapping([[0], [1]], works=[1.0, 2.0], files=[1.5])
         tpn = build_strict_tpn(mp)
         rho = strict_exponential_throughput(mp)
-        times = sample_times(
-            tpn, 20_000, lambda mean: Exponential(mean),
-            np.random.default_rng(3),
-        )
-        est = dater_throughput(tpn, 20_000, times)
+        est = simulate_tpn(
+            tpn, n_datasets=20_000, law=lambda mean: Exponential(mean),
+            rng=np.random.default_rng(3),
+        ).steady_state_throughput()
         assert est == pytest.approx(rho, rel=0.03)
 
     def test_monotonicity_in_times(self):
@@ -183,16 +181,16 @@ class TestDater:
 
     @pytest.mark.parametrize("fraction", [-0.5, 1.0])
     def test_warmup_fraction_outside_unit_interval_raises(self, fraction):
-        # On this net, whose rate is 2.0, a share of -0.5 indexed the
-        # completions from the end (3.0 from both estimators), and 1.0
-        # kept no completion: a "zero span" StructuralError from the
-        # dater, NaN from the coupling.
+        # On this net, whose rate is 2.0, a share of -0.5 would index
+        # the completions from the end (3.0 from both estimators), and
+        # 1.0 would keep no completion (NaN from the coupling).
         from repro.core.comparison import coupled_throughputs
         from repro.mapping.examples import single_communication
 
         tpn = build_overlap_tpn(single_communication(2, 3, comm_time=1.0))
+        sim = simulate_tpn(tpn, n_datasets=100 * tpn.n_rows, law="deterministic")
         with pytest.raises(ValueError, match="warmup_fraction"):
-            dater_throughput(tpn, 100, warmup_fraction=fraction)
+            sim.steady_state_throughput(warmup_fraction=fraction)
         with pytest.raises(ValueError, match="warmup_fraction"):
             coupled_throughputs(
                 tpn, {"det": "deterministic"}, n_firings=100,

@@ -29,7 +29,7 @@ from repro.sim import (
     simulate_system_batch,
     throughput_vs_datasets,
 )
-from repro.sim.sampling import LawSpec, SampleBuffer
+from repro.sim.sampling import LawSpec
 
 from tests.conftest import make_mapping
 
@@ -276,18 +276,6 @@ class TestSpecAndSweep:
 
         assert throughput_vs_datasets(spec, [10, 50], seed=3) == \
             throughput_vs_datasets(run, [10, 50], seed=3)
-
-
-class TestSampleBufferBlocks:
-    def test_draw_blocks_matches_flat_stream(self):
-        from repro.distributions import Exponential
-
-        a = SampleBuffer(Exponential(1.0), np.random.default_rng(9))
-        b = SampleBuffer(Exponential(1.0), np.random.default_rng(9))
-        blocks = a.draw_blocks(4, 6)
-        flat = b.draw_block(24)
-        assert blocks.shape == (4, 6)
-        assert np.array_equal(blocks.ravel(), flat)
 
 
 class TestSimulationSolverReplication:

@@ -524,6 +524,31 @@ class TestCampaignViaService:
         assert summary.executed == 0
         assert summary.skipped == 4
 
+    def test_repeat_into_fresh_store_reports_memo_hits(self, tmp_path):
+        # `executed` counts the units scored into this store; the service
+        # line says the service ran none of them the second time.
+        spec = get_preset("smoke")
+        engine = EvaluationEngine()
+        server, thread = serve_in_thread(engine)
+        try:
+            with ServiceClient(*server.endpoint) as client:
+                run_campaign(
+                    spec, ResultStore(tmp_path / "a.jsonl"), client=client
+                )
+                summary = run_campaign(
+                    spec, ResultStore(tmp_path / "b.jsonl"), client=client
+                )
+        finally:
+            server.shutdown()
+            server.server_close()
+            engine.close()
+            thread.join(timeout=5)
+        assert summary.executed == 4
+        assert (
+            "service    : executed 0, cache hits 4 (0 disk + 4 memo)"
+            in summary.render().splitlines()
+        )
+
     def test_service_failure_aborts_with_campaign_error(self, tmp_path):
         from repro.exceptions import CampaignError
 

@@ -10,8 +10,11 @@ from repro.core import (
     overlap_exponential_throughput,
     strict_exponential_throughput,
 )
-from repro.mapping.examples import single_communication
+from repro.exceptions import StructuralError
+from repro.experiments.fig10 import paper_system
+from repro.mapping.examples import example_a, single_communication
 from repro.petri import build_overlap_tpn, build_strict_tpn
+from repro.petri.net import TimedEventGraph
 from repro.sim import (
     OnlineStats,
     ReplicationSummary,
@@ -23,7 +26,8 @@ from repro.sim import (
     throughput_vs_datasets,
 )
 from repro.sim.results import SimulationResult
-from repro.sim.sampling import LawSpec, SampleBuffer, as_factory
+from repro.sim.sampling import LawSpec, as_factory
+from repro.types import PlaceKind, TransitionKind
 
 from tests.conftest import make_mapping
 
@@ -106,13 +110,6 @@ class TestSampling:
         with pytest.raises(TypeError):
             as_factory(42)
 
-    def test_sample_buffer_refills(self, rng):
-        from repro.distributions import Exponential
-
-        buf = SampleBuffer(Exponential(1.0), rng, block=8)
-        draws = [buf.draw() for _ in range(20)]
-        assert len(set(draws)) == 20  # all distinct, buffer refilled twice
-
 
 class TestTpnSimulator:
     def test_deterministic_exact(self):
@@ -128,33 +125,6 @@ class TestTpnSimulator:
         b = simulate_tpn(tpn, n_datasets=500, law="exponential", seed=42)
         assert np.array_equal(a.completion_times, b.completion_times)
 
-    def test_throttle_bounds_events(self):
-        """A fast source must not flood the calendar (throttled run-ahead)."""
-        mp = single_communication(2, 3)
-        tpn = build_overlap_tpn(mp)
-        sim = simulate_tpn(
-            tpn, n_datasets=2000, law="exponential", seed=1, throttle=16
-        )
-        assert sim.n_events < 50 * 2000
-
-    def test_throttle_does_not_bias_throughput(self):
-        """On a symmetric system the run-ahead cap changes no estimate
-        by 5% or more."""
-        tpn = build_overlap_tpn(single_communication(3, 4))
-        values = [
-            simulate_tpn(
-                tpn, n_datasets=4000, law="exponential", seed=5, throttle=cap
-            ).steady_state_throughput()
-            for cap in (4, 16, 64)
-        ]
-        assert max(values) - min(values) < 0.05 * max(values)
-
-    def test_throttle_validation(self):
-        mp = make_mapping([[0]])
-        tpn = build_overlap_tpn(mp)
-        with pytest.raises(ValueError):
-            simulate_tpn(tpn, n_datasets=10, throttle=0)
-
     def test_strict_net(self):
         mp = make_mapping([[0], [1]], works=[1.0, 1.0], files=[1.0])
         tpn = build_strict_tpn(mp)
@@ -163,13 +133,80 @@ class TestTpnSimulator:
             strict_exponential_throughput(mp), rel=0.03
         )
 
-    def test_event_budget_guard(self):
-        mp = make_mapping([[0]])
-        tpn = build_overlap_tpn(mp)
-        from repro.exceptions import StructuralError
+    @pytest.mark.parametrize("model", ["overlap", "strict"])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: make_mapping([[0], [1, 2]], seed=0), id="seed0"),
+            pytest.param(lambda: make_mapping([[0], [1, 2]], seed=1), id="seed1"),
+            pytest.param(lambda: make_mapping([[0], [1, 2]], seed=2), id="seed2"),
+            pytest.param(
+                lambda: make_mapping([[0, 1], [2, 3, 4]], seed=1), id="2x3"
+            ),
+            pytest.param(
+                lambda: make_mapping([[0], [1, 2], [3, 4, 5]], seed=2),
+                id="three-stage",
+            ),
+            pytest.param(example_a, id="example-a"),
+            pytest.param(paper_system, id="fig10"),
+        ],
+    )
+    def test_constant_times_match_system_simulator(self, make, model):
+        """Both simulators complete the same data sets at the same
+        instants, bit for bit, when every duration is its mean."""
+        mp = make()
+        build = build_overlap_tpn if model == "overlap" else build_strict_tpn
+        tpn = simulate_tpn(
+            build(mp), n_datasets=3000, law="deterministic", seed=0
+        )
+        direct = simulate_system(
+            mp, model, n_datasets=3000, law="deterministic", seed=0
+        )
+        assert np.array_equal(tpn.completion_times, direct.completion_times)
 
-        with pytest.raises(StructuralError, match="exceeded"):
-            simulate_tpn(tpn, n_datasets=100, max_events=5, seed=0)
+    def test_transition_without_input_place_rejected(self):
+        net = TimedEventGraph(n_rows=1, n_columns=2)
+        t0 = net.add_transition(TransitionKind.COMPUTE, 0, 0, 0, ("cpu", 0), 1.0)
+        t1 = net.add_transition(TransitionKind.COMPUTE, 1, 0, 1, ("cpu", 1), 1.0)
+        net.add_place(t0, t1, 0, PlaceKind.FLOW)
+        net.add_place(t1, t1, 1, PlaceKind.PROC_CYCLE)
+        with pytest.raises(StructuralError, match="transition 0 has no input"):
+            simulate_tpn(net, n_datasets=10, seed=0)
+
+    def test_dead_net_rejected(self):
+        net = TimedEventGraph(n_rows=1, n_columns=2)
+        t0 = net.add_transition(TransitionKind.COMPUTE, 0, 0, 0, ("cpu", 0), 1.0)
+        t1 = net.add_transition(TransitionKind.COMPUTE, 1, 0, 1, ("cpu", 1), 1.0)
+        net.add_place(t0, t1, 0, PlaceKind.FLOW)
+        net.add_place(t1, t0, 0, PlaceKind.FLOW)
+        with pytest.raises(StructuralError, match="not live"):
+            simulate_tpn(net, n_datasets=10, seed=0)
+
+    def test_component_subnets_skip_empty_rows(self):
+        """A component of the split Strict pin keeps one of the two rows
+        of the last column; the other row's grid cell holds -1. Counting
+        only the kept row gives each component's own rate (taking the
+        -1 as a transition index reads 0.79870 and 0.51134)."""
+        from repro.petri.analysis import strongly_connected_components, subnet
+
+        tpn = build_strict_tpn(make_mapping([[0, 1], [2, 3]], seed=0))
+        rates = []
+        for members in strongly_connected_components(tpn):
+            sub, _ = subnet(tpn, members)
+            assert (sub.grid[-1] == -1).sum() == 1
+            sim = simulate_tpn(sub, n_datasets=100, law="deterministic")
+            assert sim.n_processed == 100
+            rates.append(sim.throughput)
+        assert rates == pytest.approx([0.40045, 0.25639], abs=5e-6)
+
+    def test_subnet_without_last_column_rejected(self):
+        """The first stage's processor cycle completes no data set."""
+        from repro.petri.analysis import subnet
+
+        tpn = build_overlap_tpn(make_mapping([[0], [1]]))
+        sub, _ = subnet(tpn, tpn.column_transitions(0))
+        with pytest.raises(StructuralError, match="no last-column"):
+            simulate_tpn(sub, n_datasets=5, law="deterministic")
 
 
 class TestSystemSimulator:
