@@ -19,6 +19,9 @@ evaluators, in increasing generality / cost:
   ``build_strict_tpn(mapping)``.
 
 :func:`exponential_throughput` picks among them from its input alone.
+Each path that solves a chain imports :mod:`repro.markov`, and with it
+``scipy.sparse``, when it is called, so a process that solves no chain
+never loads them.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from typing import TYPE_CHECKING
 
 from repro.exceptions import UnsupportedModelError
 from repro.mapping.mapping import Mapping
-from repro.markov.builder import exponential_rates, tpn_throughput_exponential
 from repro.petri.analysis import strongly_connected_components, subnet
 from repro.petri.builder_overlap import build_overlap_tpn
 from repro.petri.net import TimedEventGraph
@@ -58,6 +60,8 @@ def tpn_exponential_throughput_scc(
     throughput is ``m`` times the per-transition rate of the slowest
     component.
     """
+    from repro.markov.builder import tpn_throughput_exponential
+
     slowest = math.inf
     for members in strongly_connected_components(tpn):
         sub, _ = subnet(tpn, members)
@@ -80,6 +84,7 @@ def _chain_throughput(
     # Looked up when called, not bound at import, so that a wrapper set
     # on these module attributes sees every build and exploration.
     from repro.evaluate.cache import strict_net
+    from repro.markov.builder import tpn_throughput_exponential
     from repro.petri import reachability
 
     tpn = strict_net(mapping, cache)
@@ -173,12 +178,13 @@ def exponential_throughput(
         )
     if buffer_capacity is None:
         return overlap_exponential_throughput(mapping, max_states=max_states)
+    from repro.markov.builder import tpn_throughput_exponential
+
     tpn = build_overlap_tpn(mapping, buffer_capacity=buffer_capacity)
     return tpn_throughput_exponential(tpn, max_states=max_states)
 
 
 __all__ = [
-    "exponential_rates",
     "exponential_throughput",
     "overlap_exponential_throughput",
     "strict_exponential_throughput",

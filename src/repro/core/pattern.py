@@ -25,9 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, gcd
 
-
 from repro.exceptions import StructuralError
-from repro.markov.builder import tpn_throughput_exponential
 from repro.maxplus.cycle import max_cycle_ratio
 from repro.petri.net import TimedEventGraph
 from repro.types import PlaceKind, TransitionKind
@@ -142,6 +140,10 @@ def pattern_throughput_exponential(
     if pattern.is_homogeneous:
         lam = 1.0 / pattern.means[0]
         return pattern_throughput_homogeneous(pattern.u, pattern.v, lam)
+    # Imported here: repro.markov loads scipy.sparse, which only a chain
+    # solve needs.
+    from repro.markov.builder import tpn_throughput_exponential
+
     tpn = build_pattern_tpn(pattern)
     counted = list(range(tpn.n_transitions))
     return tpn_throughput_exponential(tpn, counted=counted, max_states=max_states)

@@ -38,7 +38,6 @@ class Fig10Config:
         default_factory=lambda: [100, 500, 1000, 5000, 10_000, 25_000, 50_000]
     )
     seed: int = 10
-    tpn_max_datasets: int = 10_000  # event-graph sim is slower; cap it
 
 
 def run(config: Fig10Config | None = None) -> ExperimentResult:
@@ -74,12 +73,11 @@ def run(config: Fig10Config | None = None) -> ExperimentResult:
         seed=config.seed,
     ))
     tpn = build_overlap_tpn(mp)
-    n_tpn = min(n_max, config.tpn_max_datasets)
     tpn_cst = simulate_tpn(
-        tpn, n_datasets=n_tpn, law="deterministic", seed=config.seed
+        tpn, n_datasets=n_max, law="deterministic", seed=config.seed
     )
     tpn_exp = simulate_tpn(
-        tpn, n_datasets=n_tpn, law="exponential", seed=config.seed
+        tpn, n_datasets=n_max, law="exponential", seed=config.seed
     )
     for k in config.dataset_counts:
         result.add(
@@ -87,8 +85,8 @@ def run(config: Fig10Config | None = None) -> ExperimentResult:
             cst_theory=cst_theory,
             cst_system=cst_series[k],
             exp_system=exp_series[k],
-            cst_tpn=tpn_cst.throughput_after(min(k, n_tpn)),
-            exp_tpn=tpn_exp.throughput_after(min(k, n_tpn)),
+            cst_tpn=tpn_cst.throughput_after(k),
+            exp_tpn=tpn_exp.throughput_after(k),
             exp_theory=exp_theory,
         )
     result.notes.append(

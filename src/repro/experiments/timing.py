@@ -30,7 +30,6 @@ class TimingConfig:
     dataset_counts: list[int] = field(
         default_factory=lambda: [100, 1000, 10_000, 100_000]
     )
-    tpn_cap: int = 20_000
     seed: int = 77
     #: Replication-study sizing: ``n_replications`` per timed study, with
     #: per-path dataset caps (the per-stream loop pays the full interpreter
@@ -71,14 +70,11 @@ def run(config: TimingConfig | None = None) -> ExperimentResult:
                 mp, "overlap", n_datasets=k, law="exponential", seed=config.seed
             )
         )
-        if k <= config.tpn_cap:
-            t_tpn, _ = _clock(
-                lambda k=k: simulate_tpn(
-                    tpn, n_datasets=k, law="exponential", seed=config.seed
-                )
+        t_tpn, _ = _clock(
+            lambda k=k: simulate_tpn(
+                tpn, n_datasets=k, law="exponential", seed=config.seed
             )
-        else:
-            t_tpn = float("nan")
+        )
         spec = ReplicationSpec(mp, "overlap", n_datasets=k, law="exponential")
         t_rep_loop = float("nan")
         if k <= config.rep_loop_cap:

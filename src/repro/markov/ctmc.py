@@ -130,7 +130,22 @@ class CTMC:
 
     @staticmethod
     def _clean(pi: np.ndarray) -> np.ndarray:
+        # 1e-14 zeroes the round-off a solve leaves on states of no
+        # stationary mass (transient markings): on 20 random 2000-state
+        # chains with 500 transient states each, the raw spsolve entries
+        # there were at most 2.7e-15 in absolute value. It also zeroes
+        # real mass below it. A census of the raw spsolve vectors found
+        # no transient state and no entry under the cut on the strict-exp
+        # topologies (smallest 1.7e-13, 7680 states), Fig. 14's
+        # heterogeneous patterns (1.8e-10) or the capacitated nets of
+        # examples/finite_buffers.py (2.8e-14), but stiff rates go under
+        # it: Strict single_communication(2, 3), whose computations are
+        # 1e6 times faster than its transfers, has 228 such states of 384,
+        # and zeroing them moves its throughput by 1.9e-7 relative.
         pi = np.where(np.abs(pi) < 1e-14, 0.0, pi)
+        # A solve that works leaves negatives of round-off size only
+        # (-2.0e-15 at worst on the chains above, none on the census);
+        # anything below -1e-8 means it failed.
         if (pi < -1e-8).any():
             raise ConvergenceError("stationary solve produced negative mass")
         pi = np.clip(pi, 0.0, None)

@@ -108,9 +108,7 @@ class TestTable1:
 
 class TestFig10:
     def test_convergence(self):
-        cfg = fig10.Fig10Config(
-            dataset_counts=[100, 2000, 20_000], tpn_max_datasets=2000
-        )
+        cfg = fig10.Fig10Config(dataset_counts=[100, 2000, 20_000])
         res = fig10.run(cfg)
         last = res.rows[-1]
         assert last["cst_system"] == pytest.approx(last["cst_theory"], rel=0.01)
@@ -236,11 +234,11 @@ class TestFig17:
 
 class TestTiming:
     def test_reports_positive_times(self):
-        cfg = timing.TimingConfig(dataset_counts=[100, 1000], tpn_cap=500)
+        cfg = timing.TimingConfig(dataset_counts=[100, 1000])
         res = timing.run(cfg)
         assert len(res.rows) == 2
         assert all(r["system_sim_s"] > 0 for r in res.rows)
-        assert np.isnan(res.rows[-1]["tpn_sim_s"])
+        assert all(r["tpn_sim_s"] > 0 for r in res.rows)
 
 
 class TestCli:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -40,26 +41,116 @@ class TestPackageSurface:
         assert 0 < exp <= det
 
     def test_import_leaves_scipy_stats_unloaded(self):
-        # scipy.stats takes about a second to import; the laws that need
-        # it import it when they are built, so start-up does not pay it.
-        # networkx is likewise imported only by the analysis helpers.
-        src = str(Path(repro.__file__).resolve().parents[1])
-        code = (
-            "import sys, repro, repro.cli; "
-            "print('scipy.stats' in sys.modules); "
-            "print('networkx' in sys.modules)"
+        # scipy.stats takes about 0.7 s to import; the laws that need it
+        # import it when they are built, and the replication CI uses the
+        # standard library's quantile, so start-up and replication
+        # studies do not pay it. networkx is imported only by the
+        # analysis helpers, and scipy.sparse only by the paths that solve
+        # a Markov chain, so deterministic work loads neither.
+        loaded = json.loads(_run_fresh(_WATCHED_IMPORTS))
+        assert loaded == {"import": [], "deterministic": [], "replicate": []}
+
+    def test_chain_paths_resolve_their_deferred_imports(self):
+        # Each path that solves a chain imports repro.markov when called.
+        # The suite loads repro.markov early, so only a fresh interpreter
+        # reaches those imports cold.
+        script = (
+            "import json, sys, repro\n"
+            + _CHAIN_PATHS
+            + "cold = 'repro.markov' not in sys.modules\n"
+            "values = {k: repr(v) for k, v in chain_values().items()}\n"
+            "print(json.dumps({'cold': cold, 'values': values}))\n"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=120,
-        )
-        stats_loaded, networkx_loaded = out.stdout.split()
-        assert stats_loaded == "False"
-        assert networkx_loaded == "False"
+        out = json.loads(_run_fresh(script))
+        assert out["cold"]
+        namespace: dict = {}
+        exec(_CHAIN_PATHS, namespace)
+        expected = {k: repr(v) for k, v in namespace["chain_values"]().items()}
+        assert out["values"] == expected
+
+
+def _run_fresh(script: str) -> str:
+    """Standard output of ``script`` run in a fresh interpreter."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    ).stdout
+
+
+#: Prints, as JSON, which of the slow imports are loaded after importing
+#: the package, after one unit of each deterministic workload shape
+#: (Table 1's census in both models, a Fig. 13 pair) and after a
+#: replication study.
+_WATCHED_IMPORTS = """
+import json, sys
+import repro, repro.cli
+
+WATCHED = ("scipy.stats", "scipy.sparse", "networkx")
+loaded = {"import": [m for m in WATCHED if m in sys.modules]}
+
+import numpy as np
+from repro.application.generators import random_application
+from repro.core.critical import analyze_critical_resource
+from repro.evaluate import evaluate
+from repro.mapping.examples import single_communication
+from repro.mapping.generators import random_mapping
+from repro.platform.generators import random_platform
+from repro.sim.runner import ReplicationSpec, replicate
+from repro.sim.system_sim import simulate_system
+
+rng = np.random.default_rng(0)
+census = random_mapping(
+    random_application(4, rng), random_platform(10, rng), rng, max_replication=4
+)
+for model in ("overlap", "strict"):
+    analyze_critical_resource(census, model)
+pair = single_communication(2, 3)
+evaluate(pair, solver="deterministic")
+for law in ("deterministic", "exponential"):
+    simulate_system(pair, "overlap", n_datasets=200, law=law, seed=0)
+loaded["deterministic"] = [m for m in WATCHED if m in sys.modules]
+
+replicate(ReplicationSpec(pair, n_datasets=200), n_replications=4, seed=0)
+loaded["replicate"] = [m for m in WATCHED if m in sys.modules]
+print(json.dumps(loaded))
+"""
+
+#: Defines ``chain_values()``: one call through each path that solves a
+#: Markov chain.
+_CHAIN_PATHS = """
+from repro.core.exponential import (
+    exponential_throughput,
+    tpn_exponential_throughput_scc,
+)
+from repro.core.pattern import CommPattern, pattern_throughput_exponential
+from repro.mapping.examples import single_communication
+from repro.petri import build_overlap_tpn
+
+
+def chain_values():
+    return {
+        "strict, connected": exponential_throughput(
+            single_communication(2, 3), "strict"
+        ),
+        "strict, split": exponential_throughput(
+            single_communication(2, 2), "strict"
+        ),
+        "heterogeneous pattern": pattern_throughput_exponential(
+            CommPattern(2, 3, (1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
+        ),
+        "overlap, capacity 1": exponential_throughput(
+            single_communication(1, 3), "overlap", buffer_capacity=1
+        ),
+        "component oracle": tpn_exponential_throughput_scc(
+            build_overlap_tpn(single_communication(2, 3))
+        ),
+    }
+"""
 
 
 class TestFacade:
