@@ -316,7 +316,7 @@ def _unit_task(unit: RunUnit) -> tuple:
     """The ``(solver, mapping, model)`` evaluation task of one unit.
 
     Solver-constructor failures (bad option values that name-level
-    validation can't see, such as an unknown estimator or law) surface
+    validation can't see, such as a bad workload size or law) surface
     as :class:`CampaignError` here, at prepare time, not as a traceback
     mid-run.
     """

@@ -27,9 +27,10 @@ from collections.abc import Mapping as MappingABC
 import numpy as np
 
 from repro.distributions.base import Distribution
-from repro.maxplus.dater import check_warmup_fraction, dater_evolution
+from repro.maxplus.dater import dater_evolution
 from repro.petri.net import TimedEventGraph
 from repro.sim.sampling import as_factory
+from repro.sim.tpn_sim import dater_result
 
 
 def coupled_times(
@@ -86,19 +87,18 @@ def coupled_throughputs(
     """Common-random-number throughput estimates for several laws.
 
     The shared coupling removes most of the between-law sampling noise, so
-    the Theorem 6/7 orderings emerge at modest run lengths.
+    the Theorem 6/7 orderings emerge at modest run lengths. Each estimate
+    is the steady-state throughput of every data set the ``n_firings``
+    rounds complete, read as :func:`~repro.sim.tpn_sim.simulate_tpn` reads
+    its own daters.
     """
-    check_warmup_fraction(warmup_fraction)
     daters = coupled_daters(tpn, laws, n_firings=n_firings, seed=seed)
-    last = tpn.last_column_transitions()
-    out: dict[str, float] = {}
-    for label, d in daters.items():
-        completions = np.sort(d[last, :].ravel())
-        n = completions.size
-        w = int(n * warmup_fraction)
-        t0 = completions[w - 1] if w > 0 else 0.0
-        out[label] = (n - w) / (completions[-1] - t0)
-    return out
+    return {
+        label: dater_result(tpn, d).steady_state_throughput(
+            warmup_fraction=warmup_fraction
+        )
+        for label, d in daters.items()
+    }
 
 
 def verify_st_dominance(

@@ -10,12 +10,7 @@ from repro.distributions.normal_ import TruncatedNormal
 from repro.distributions.weibull import Weibull
 from repro.distributions.lognormal import LogNormal
 from repro.distributions.hyperexponential import HyperExponential
-from repro.distributions.registry import (
-    available_families,
-    make_distribution,
-    shape_factory,
-    family_params_label,
-)
+from repro.distributions.registry import available_families, make_distribution
 from repro.distributions.orders import (
     empirical_st_dominated,
     empirical_icx_dominated,
@@ -39,8 +34,6 @@ __all__ = [
     "HyperExponential",
     "available_families",
     "make_distribution",
-    "shape_factory",
-    "family_params_label",
     "empirical_st_dominated",
     "empirical_icx_dominated",
     "mean_residual_life",

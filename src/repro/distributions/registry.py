@@ -8,7 +8,7 @@ those descriptions to concrete :class:`Distribution` objects.
 from __future__ import annotations
 
 import inspect
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 
 from repro.distributions.base import Distribution
 from repro.distributions.beta_ import ScaledBeta
@@ -80,25 +80,3 @@ def make_distribution(
             f"{', '.join(_PARAMS[key]) or 'no parameters'}"
         )
     return factory(mean, **params)
-
-
-def shape_factory(family: str, **params: float) -> Callable[[float], Distribution]:
-    """A ``mean -> Distribution`` factory with the family/shape frozen.
-
-    This is the form consumed by the simulators: one shape is applied to
-    every resource, each with its own mean (paper Section 7.6 does exactly
-    this — "the mean value is the same for all distributions" refers to
-    matching means across *families*).
-    """
-    def build(mean: float) -> Distribution:
-        return make_distribution(family, mean, **params)
-
-    return build
-
-
-def family_params_label(family: str, params: Mapping[str, float]) -> str:
-    """Human-readable label, e.g. ``"gamma(shape=0.5)"``."""
-    if not params:
-        return family
-    inner = ", ".join(f"{k}={v:g}" for k, v in sorted(params.items()))
-    return f"{family}({inner})"

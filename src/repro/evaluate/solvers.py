@@ -253,9 +253,10 @@ class SimulationSolver:
     (:func:`~repro.sim.runner.replicate` on a
     :class:`~repro.sim.runner.ReplicationSpec`).
 
-    The ``estimator`` and the law (``law`` with ``law_params``) are
-    checked when the solver is built, so a bad one fails before any
-    unit is scored.
+    Every option (``n_datasets``, the law with ``law_params``, ``seed``
+    and ``n_replications``, the counts and the seed as integers) is
+    checked when the solver is built, so a bad one fails before any unit
+    is scored.
     """
 
     #: This backend's value depends on its random stream (campaign
@@ -266,12 +267,10 @@ class SimulationSolver:
     law: str = "exponential"
     law_params: tuple[tuple[str, float], ...] = field(default=())
     seed: int = 0
-    estimator: str = "total"
     n_replications: int = 1
 
     def __post_init__(self) -> None:
         from repro.distributions.registry import make_distribution
-        from repro.sim.runner import check_estimator
 
         # Accept a dict or any pair sequence (JSON specs can only say
         # lists); store the canonical sorted-tuple form, which is what
@@ -281,9 +280,16 @@ class SimulationSolver:
         else:
             items = (tuple(p) for p in self.law_params)
         object.__setattr__(self, "law_params", tuple(sorted(items)))
+        for name in ("n_datasets", "seed", "n_replications"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+        if self.n_datasets < 1:
+            raise ValueError("n_datasets must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.n_replications < 1:
             raise ValueError("n_replications must be >= 1")
-        check_estimator(self.estimator)
         # Build the law once at unit mean: an unknown family or parameter
         # raises InvalidDistributionError here, not at solve time.
         make_distribution(self.law, 1.0, **dict(self.law_params))
@@ -319,7 +325,6 @@ class SimulationSolver:
                     ),
                     n_replications=self.n_replications,
                     seed=[self.seed, digest],
-                    estimator=self.estimator,
                 )
             return summary.mean
         with profile_span("simulate"):
@@ -330,6 +335,4 @@ class SimulationSolver:
                 law=spec,
                 rng=self.rng_for(mapping, model),
             )
-        if self.estimator == "steady":
-            return result.steady_state_throughput()
         return result.throughput

@@ -57,35 +57,24 @@ class CTMC:
         return np.asarray(self._r.sum(axis=1)).ravel()
 
     # ------------------------------------------------------------------
-    def stationary_distribution(self, method: str = "auto") -> np.ndarray:
+    def stationary_distribution(self, method: str = "direct") -> np.ndarray:
         """Solve ``πQ = 0`` with ``Σπ = 1``.
 
         ``method``:
 
         * ``"direct"`` — sparse LU on the normalized transposed system
           (replace one balance equation by the normalization);
-        * ``"power"`` — power iteration on the uniformized DTMC
-          ``P = I + Q/Λ``;
         * ``"dense"`` — dense least squares (small chains, oracle for
-          tests);
-        * ``"auto"`` — ``direct`` with a fallback to ``power`` when the
-          factorization is singular.
+          tests).
 
-        The sparse LU is exact and fast up to ~10⁴ states; torus-like
-        marking chains (large buffer capacities) produce heavy fill-in,
-        where ``"power"`` trades exactness-in-one-shot for bounded memory.
+        A chain with more than one closed class has no unique stationary
+        law: its system is singular, and the direct solve raises
+        :class:`~repro.exceptions.ConvergenceError`.
         """
         if self.n_states == 1:
             return np.ones(1)
-        if method == "auto":
-            try:
-                return self._solve_direct()
-            except (RuntimeError, ValueError):
-                return self._solve_power()
         if method == "direct":
             return self._solve_direct()
-        if method == "power":
-            return self._solve_power()
         if method == "dense":
             return self._solve_dense()
         raise ValueError(f"unknown method {method!r}")
@@ -98,6 +87,12 @@ class CTMC:
         b = np.zeros(n)
         b[-1] = 1.0
         pi = spla.spsolve(a, b)
+        # spsolve warns and returns NaN on an exactly singular matrix.
+        if not np.isfinite(pi).all():
+            raise ConvergenceError(
+                "stationary solve failed: the balance system is singular "
+                "(the chain has more than one closed class)"
+            )
         return self._clean(pi)
 
     def _solve_dense(self) -> np.ndarray:
@@ -107,26 +102,6 @@ class CTMC:
         b[-1] = 1.0
         pi, *_ = np.linalg.lstsq(a, b, rcond=None)
         return self._clean(pi)
-
-    def _solve_power(self, tol: float = 1e-13, max_iter: int = 2_000_000) -> np.ndarray:
-        exit_rates = self.exit_rates()
-        lam = float(exit_rates.max())
-        if lam == 0.0:
-            raise StructuralError("absorbing CTMC has no dynamics")
-        lam *= 1.05  # strict uniformization avoids periodicity
-        p = (self._r / lam).tocsr()
-        diag = 1.0 - exit_rates / lam
-        pi = np.full(self.n_states, 1.0 / self.n_states)
-        # Iterate in blocks, checking convergence of the 1-norm increment.
-        for _ in range(max_iter):
-            nxt = pi @ p + pi * diag
-            delta = np.abs(nxt - pi).sum()
-            pi = nxt
-            if delta < tol:
-                return self._clean(pi)
-        raise ConvergenceError(
-            f"power iteration did not converge in {max_iter} iterations"
-        )
 
     @staticmethod
     def _clean(pi: np.ndarray) -> np.ndarray:

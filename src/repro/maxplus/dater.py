@@ -26,19 +26,6 @@ from repro.exceptions import StructuralError
 from repro.petri.net import TimedEventGraph
 
 
-def check_warmup_fraction(warmup_fraction: float) -> None:
-    """Raise ``ValueError`` unless the warm-up share lies in ``[0, 1)``.
-
-    A negative share would index the completions from the end, and a
-    share of 1 or more would discard every one of them. Every estimator
-    that drops a warm-up prefix applies this rule, the simulators' too.
-    """
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ValueError(
-            f"warmup_fraction must be in [0, 1), got {warmup_fraction!r}"
-        )
-
-
 def dater_evolution(
     tpn: TimedEventGraph,
     n_firings: int,

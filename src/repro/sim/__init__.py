@@ -9,17 +9,15 @@ Two independent simulators cross-validate the analytical results:
   (our stand-in for the paper's SimGrid experiments, including the
   bandwidth-efficiency correction).
 
-Both return the sorted completions of data sets ``0 .. n - 1``; on
-constant times they agree bit for bit.
+Both return a :class:`~repro.sim.results.SimulationResult` holding the
+completion instants of data sets ``0 .. n - 1`` by index; on constant
+times they agree bit for bit. The record is the only reader of completion
+order: its estimators count completions by time.
 """
 
 from repro.sim.results import SimulationResult
 from repro.sim.tpn_sim import simulate_tpn
-from repro.sim.system_sim import (
-    BatchSimulationResult,
-    simulate_system,
-    simulate_system_batch,
-)
+from repro.sim.system_sim import simulate_system, simulate_system_batch
 from repro.sim.runner import (
     ReplicationSpec,
     ReplicationSummary,
@@ -31,7 +29,6 @@ from repro.sim.stats import OnlineStats, normal_confidence_interval
 
 __all__ = [
     "SimulationResult",
-    "BatchSimulationResult",
     "simulate_tpn",
     "simulate_system",
     "simulate_system_batch",

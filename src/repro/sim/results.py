@@ -3,28 +3,40 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from repro.maxplus.dater import check_warmup_fraction
+
+def check_warmup_fraction(warmup_fraction: float) -> None:
+    """Raise ``ValueError`` unless the warm-up share lies in ``[0, 1)``.
+
+    A negative share would index the completions from the end, and a
+    share of 1 or more would discard every one of them.
+    """
+    if not 0.0 <= warmup_fraction < 1.0:
+        raise ValueError(
+            f"warmup_fraction must be in [0, 1), got {warmup_fraction!r}"
+        )
 
 
 @dataclass(frozen=True)
 class SimulationResult:
     """Outcome of one simulation run.
 
-    ``completion_times`` holds the instants data sets ``0 .. n - 1`` left
-    the last stage, sorted: ``completion_times[k]`` is the ``k + 1``-th
-    completion in time, whichever data set it was. The paper's estimator
-    divides processed instances by total completion time;
-    :meth:`throughput_after` reproduces the Fig. 10/11 convergence curves
-    from a single run.
+    ``completion_times[k]`` is the instant data set ``k`` left the last
+    stage, and ``latencies[k]`` (system simulator only) its sojourn time,
+    from the start of its first computation to the end of its last one —
+    the latency metric of the throughput/latency trade-off literature the
+    paper builds on (Subhlok & Vondran). Both simulators and the coupled
+    dater estimates store completions this way.
 
-    ``latencies`` (system simulator only) holds, per *data set index*
-    ``n``, the sojourn time between the start of the data set's first
-    computation and the end of its last one — the latency metric of the
-    throughput/latency trade-off literature the paper builds on
-    (Subhlok & Vondran).
+    Heterogeneous branches complete out of order (fast teammates run
+    ahead of slow ones). The estimators count completions by time: all
+    four read :attr:`time_ordered`, the one place the completions are
+    sorted. The paper's estimator divides processed instances by total
+    completion time; :meth:`throughput_after` reproduces the Fig. 10/11
+    convergence curves from a single run.
     """
 
     completion_times: np.ndarray
@@ -32,13 +44,18 @@ class SimulationResult:
     wall_time: float
     latencies: np.ndarray | None = None
 
+    @cached_property
+    def time_ordered(self) -> np.ndarray:
+        """The completions sorted by time: entry ``k`` is the ``k + 1``-th."""
+        return np.sort(self.completion_times)
+
     @property
     def n_processed(self) -> int:
         return int(self.completion_times.size)
 
     @property
     def makespan(self) -> float:
-        return float(self.completion_times[-1]) if self.n_processed else 0.0
+        return float(self.time_ordered[-1]) if self.n_processed else 0.0
 
     @property
     def throughput(self) -> float:
@@ -51,7 +68,7 @@ class SimulationResult:
         """Throughput estimate using only the first ``k`` completions."""
         if k < 1 or k > self.n_processed:
             raise ValueError(f"k={k} outside 1..{self.n_processed}")
-        t = float(self.completion_times[k - 1])
+        t = float(self.time_ordered[k - 1])
         return k / t if t > 0 else 0.0
 
     def windowed_throughput(self, lo: float = 0.1, hi: float = 0.5) -> float:
@@ -71,8 +88,8 @@ class SimulationResult:
         i0, i1 = int(n * lo), max(int(n * hi), int(n * lo) + 2)
         if i1 > n:
             raise ValueError("window too narrow for the number of completions")
-        t0 = float(self.completion_times[i0 - 1]) if i0 > 0 else 0.0
-        t1 = float(self.completion_times[i1 - 1])
+        t0 = float(self.time_ordered[i0 - 1]) if i0 > 0 else 0.0
+        t1 = float(self.time_ordered[i1 - 1])
         if t1 <= t0:
             return 0.0
         return (i1 - i0) / (t1 - t0)
@@ -106,8 +123,8 @@ class SimulationResult:
         w = int(n * warmup_fraction)
         if n - w < 2:
             return self.throughput
-        t0 = float(self.completion_times[w - 1]) if w > 0 else 0.0
-        span = float(self.completion_times[-1]) - t0
+        t0 = float(self.time_ordered[w - 1]) if w > 0 else 0.0
+        span = float(self.time_ordered[-1]) - t0
         if span <= 0:
             return self.throughput
         return (n - w) / span

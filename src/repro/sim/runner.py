@@ -4,19 +4,18 @@ Reproduces the paper's Section 7.2/7.3 methodology: run 500 independent
 replications of 10…10 000 data sets and report min / max / average /
 standard deviation of the throughput estimator.
 
-The input picks the path. A :class:`ReplicationSpec` — a declarative
-record the runner can see into — runs every replication in one
+A study is a :class:`ReplicationSpec`, a declarative record the runner
+can see into: every replication runs in one
 :func:`~repro.sim.system_sim.simulate_system_batch` recurrence pass, with
-the replication axis handled by numpy instead of the interpreter; any
-other ``rng -> SimulationResult`` callable runs once per spawned stream.
-Each replication draws from its own spawned generator in the serial draw
+the replication axis handled by numpy instead of the interpreter. Each
+replication draws from its own spawned generator in the serial draw
 order, so a spec's per-replication estimates (and therefore its summary)
 are **bit-identical** to calling the spec once per stream.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,35 +23,18 @@ import numpy as np
 from repro.mapping.mapping import Mapping
 from repro.sim.results import SimulationResult
 from repro.sim.stats import OnlineStats, normal_confidence_interval
-from repro.sim.system_sim import (
-    BatchSimulationResult,
-    simulate_system,
-    simulate_system_batch,
-)
+from repro.sim.system_sim import simulate_system, simulate_system_batch
 from repro.types import ExecutionModel
-
-#: Recognized values of ``replicate(estimator=)``.
-ESTIMATORS = ("total", "steady")
-
-
-def check_estimator(estimator: str) -> None:
-    """Raise ``ValueError`` unless ``estimator`` is one of :data:`ESTIMATORS`."""
-    if estimator not in ESTIMATORS:
-        raise ValueError(
-            f"unknown estimator {estimator!r}; "
-            f"available: {', '.join(ESTIMATORS)}"
-        )
 
 
 @dataclass(frozen=True)
 class ReplicationSpec:
     """A batchable replication study: one system-simulator configuration.
 
-    Where a bare callable is opaque, this record lets the runner *see*
-    the work — mapping, model, law, workload size — and route it to the
-    vectorized batch kernel. It is itself a picklable
-    ``rng -> SimulationResult`` callable, so it drops into every API that
-    accepts a run callable.
+    The record lets the runner *see* the work — mapping, model, law,
+    workload size — and run it through the vectorized batch kernel. It is
+    also a picklable ``rng -> SimulationResult`` callable: one replication,
+    the per-stream oracle of the batch.
     """
 
     mapping: Mapping
@@ -84,7 +66,7 @@ class ReplicationSpec:
 
     def simulate_batch(
         self, rngs: Sequence[np.random.Generator]
-    ) -> BatchSimulationResult:
+    ) -> list[SimulationResult]:
         """All replications in one vectorized recurrence pass."""
         return simulate_system_batch(
             self.mapping,
@@ -115,51 +97,41 @@ class ReplicationSummary:
 
 
 def replication_values(
-    run: Callable[[np.random.Generator], SimulationResult] | ReplicationSpec,
+    spec: ReplicationSpec,
     *,
     n_replications: int,
     seed: int | Sequence[int] = 0,
-    estimator: str = "total",
 ) -> np.ndarray:
     """Per-replication throughput estimates, shape ``(n_replications,)``.
 
-    The identity contract lives here: for the same ``seed`` a
-    :class:`ReplicationSpec`'s vector is byte-identical to the per-stream
-    loop ``[spec(rng) for rng in default_rng(seed).spawn(n_replications)]``.
+    The identity contract lives here: for the same ``seed`` the vector is
+    byte-identical to the per-stream loop
+    ``[spec(rng).throughput for rng in default_rng(seed).spawn(n_replications)]``.
     :func:`replicate` folds this vector into a :class:`ReplicationSummary`;
     tests compare it raw.
     """
     if n_replications < 1:
         raise ValueError("n_replications must be >= 1")
-    check_estimator(estimator)
     streams = np.random.default_rng(seed).spawn(n_replications)
-    if isinstance(run, ReplicationSpec):
-        batch = run.simulate_batch(streams)
-        if estimator == "total":
-            return batch.throughput()
-        return batch.steady_state_throughput()
-    if estimator == "total":
-        return np.array([run(rng).throughput for rng in streams])
-    return np.array([run(rng).steady_state_throughput() for rng in streams])
+    return np.array([run.throughput for run in spec.simulate_batch(streams)])
 
 
 def replicate(
-    run: Callable[[np.random.Generator], SimulationResult] | ReplicationSpec,
+    spec: ReplicationSpec,
     *,
     n_replications: int,
     seed: int | Sequence[int] = 0,
-    estimator: str = "total",
 ) -> ReplicationSummary:
     """Run ``n_replications`` independent simulations and summarize.
 
-    ``run`` receives a child generator spawned from ``seed`` (independent
-    streams). ``estimator`` selects ``"total"`` (paper's completed/total
-    time) or ``"steady"`` (warm-up discarded). The summary folds
-    :func:`replication_values` in stream order.
+    Each replication draws from a child generator spawned from ``seed``
+    (independent streams) and is scored by the paper's completed/total
+    time estimator. The summary folds :func:`replication_values` in
+    stream order.
     """
     stats = OnlineStats()
     for value in replication_values(
-        run, n_replications=n_replications, seed=seed, estimator=estimator
+        spec, n_replications=n_replications, seed=seed
     ):
         stats.push(float(value))
     return ReplicationSummary(
@@ -182,33 +154,24 @@ def _dataset_count(value) -> int:
 
 
 def throughput_vs_datasets(
-    run: Callable[[np.random.Generator, int], SimulationResult]
-    | ReplicationSpec,
+    spec: ReplicationSpec,
     dataset_counts: Sequence[int],
     *,
     seed: int = 0,
 ) -> list[tuple[int, float]]:
     """Throughput estimate as a function of the number of data sets.
 
-    Simulates once at ``max(dataset_counts)`` and reuses the completion
-    prefix for the smaller counts (exactly how a single long run would be
-    inspected over time), yielding the Fig. 10 convergence series.
+    Simulates the spec once at ``max(dataset_counts)`` data sets and
+    reuses the completion prefix for the smaller counts (exactly how a
+    single long run would be inspected over time), yielding the Fig. 10
+    convergence series.
 
     ``dataset_counts`` must hold integers (numpy integer scalars are
     fine); a float count is rejected instead of silently truncated, and
-    all validation happens before ``run`` is invoked. ``run`` may be a
-    ``(rng, n) -> SimulationResult`` callable or a
-    :class:`ReplicationSpec`, whose workload size is swept.
+    all validation happens before anything is simulated.
     """
     counts = sorted({_dataset_count(c) for c in dataset_counts})
     if not counts or counts[0] < 1:
         raise ValueError("dataset_counts must contain positive integers")
-    if isinstance(run, ReplicationSpec):
-        spec = run
-
-        def run(rng, n, _spec=spec):
-            return _spec.with_datasets(n)(rng)
-
-    rng = np.random.default_rng(seed)
-    result = run(rng, counts[-1])
+    result = spec.with_datasets(counts[-1])(np.random.default_rng(seed))
     return [(k, result.throughput_after(k)) for k in counts]

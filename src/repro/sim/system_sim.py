@@ -48,14 +48,13 @@ from __future__ import annotations
 
 import time as _time
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 
 from repro.exceptions import UnsupportedModelError
 from repro.mapping.mapping import Mapping
-from repro.sim.results import SimulationResult, check_warmup_fraction
+from repro.sim.results import SimulationResult
 from repro.sim.sampling import as_factory
 from repro.types import ExecutionModel
 
@@ -266,14 +265,12 @@ def simulate_system(
     comp_first, comp_last = np.array([first, last])
 
     # Latency of data set n: from the start of its first computation to
-    # the end of its last one (per data-set index, not sorted).
+    # the end of its last one.
     entries = comp_first - comp_times[0]
     latencies = comp_last - entries
 
-    # Heterogeneous branches complete out of order (fast teammates run
-    # ahead of slow ones); throughput counts completions by time, so sort.
     return SimulationResult(
-        completion_times=np.sort(comp_last),
+        completion_times=comp_last,
         n_events=n_ops * (2 * n - 1),
         wall_time=_time.perf_counter() - t0,
         latencies=latencies,
@@ -283,71 +280,6 @@ def simulate_system(
 # ----------------------------------------------------------------------
 # Batched engine: replications as an axis, not a loop
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class BatchSimulationResult:
-    """Outcome of ``R`` replications evaluated in one recurrence pass.
-
-    ``completion_times[r]`` is the sorted completion-time vector of
-    replication ``r`` — row ``r`` is bit-identical to
-    ``simulate_system(..., rng=rngs[r]).completion_times``. ``n_events``
-    counts one replication (they are all alike); :meth:`result` rebuilds
-    the per-replication :class:`SimulationResult` view.
-    """
-
-    completion_times: np.ndarray  # (R, n_datasets), rows sorted
-    n_events: int  # per replication
-    wall_time: float  # for the whole batch
-    latencies: np.ndarray  # (R, n_datasets), per data-set index
-
-    @property
-    def n_replications(self) -> int:
-        return int(self.completion_times.shape[0])
-
-    @property
-    def n_datasets(self) -> int:
-        return int(self.completion_times.shape[1])
-
-    def result(self, r: int) -> SimulationResult:
-        """Replication ``r`` as a standalone :class:`SimulationResult`."""
-        return SimulationResult(
-            completion_times=self.completion_times[r],
-            n_events=self.n_events,
-            wall_time=self.wall_time,
-            latencies=self.latencies[r],
-        )
-
-    def throughput(self) -> np.ndarray:
-        """Per-replication total throughput, shape ``(R,)``.
-
-        Same arithmetic as :attr:`SimulationResult.throughput` applied
-        along the replication axis, so each entry is bit-identical to the
-        serial estimator.
-        """
-        makespan = self.completion_times[:, -1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            thr = self.n_datasets / makespan
-        return np.where(makespan == 0.0, 0.0, thr)
-
-    def steady_state_throughput(
-        self, *, warmup_fraction: float = 0.2
-    ) -> np.ndarray:
-        """Per-replication warm-up-discarded throughput, shape ``(R,)``."""
-        check_warmup_fraction(warmup_fraction)
-        n = self.n_datasets
-        w = int(n * warmup_fraction)
-        total = self.throughput()
-        if n - w < 2:
-            return total
-        if w > 0:
-            t0 = self.completion_times[:, w - 1]
-        else:
-            t0 = np.zeros(self.n_replications)
-        span = self.completion_times[:, -1] - t0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            steady = (n - w) / span
-        return np.where(span <= 0, total, steady)
-
-
 def simulate_system_batch(
     mapping: Mapping,
     model: ExecutionModel | str,
@@ -357,7 +289,7 @@ def simulate_system_batch(
     law="deterministic",
     bandwidth_efficiency: float = 1.0,
     correlation: str = "independent",
-) -> BatchSimulationResult:
+) -> list[SimulationResult]:
     """Evaluate one independent replication per generator in ``rngs``.
 
     The Section 2 recurrences are sequential in the data-set index but
@@ -365,9 +297,10 @@ def simulate_system_batch(
     from shape ``(R_i lags,)`` to ``(R,)`` and the recurrence runs once,
     stepping all replications together. Each replication's multipliers
     are drawn as a block from *its own* generator in the serial draw
-    order, so replication ``r`` is bit-identical to
+    order, so result ``r`` is bit-identical to
     ``simulate_system(..., rng=rngs[r])`` — the batch is a faster
-    evaluation order, never a different experiment.
+    evaluation order, never a different experiment. Every result carries
+    the whole batch's ``wall_time``.
     """
     model = ExecutionModel.coerce(model)
     _validate_sim_args(n_datasets, bandwidth_efficiency, correlation)
@@ -439,15 +372,20 @@ def simulate_system_batch(
     else:  # pragma: no cover
         raise UnsupportedModelError(str(model))
 
-    # Same derived quantities as the serial path, along the batch axis:
-    # latencies per data-set index, completions sorted by time per
-    # replication (columns hold replications until the final transpose).
+    # Same derived quantities as the serial path, along the batch axis;
+    # columns hold replications until the transpose.
     entries = comp_done[0] - comp_times[0]
     latencies = comp_done[n - 1] - entries
-    completion = np.sort(comp_done[n - 1], axis=0)
-    return BatchSimulationResult(
-        completion_times=np.ascontiguousarray(completion.T),
-        n_events=n_ops * (2 * n - 1),
-        wall_time=_time.perf_counter() - t0,
-        latencies=np.ascontiguousarray(latencies.T),
-    )
+    wall_time = _time.perf_counter() - t0
+    return [
+        SimulationResult(
+            completion_times=completions,
+            n_events=n_ops * (2 * n - 1),
+            wall_time=wall_time,
+            latencies=sojourns,
+        )
+        for completions, sojourns in zip(
+            np.ascontiguousarray(comp_done[n - 1].T),
+            np.ascontiguousarray(latencies.T),
+        )
+    ]

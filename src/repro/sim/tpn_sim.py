@@ -30,6 +30,43 @@ from repro.sim.results import SimulationResult
 from repro.sim.sampling import as_factory
 
 
+def _last_column(tpn: TimedEventGraph) -> list[int]:
+    """The transitions that complete data sets, in row order.
+
+    Rows that a :func:`~repro.petri.analysis.subnet` leaves empty
+    (``grid`` holds -1) do not count.
+    """
+    last = [int(t) for t in tpn.grid[-1] if t >= 0]
+    if not last:
+        raise StructuralError("the net has no last-column transition")
+    return last
+
+
+def dater_result(
+    tpn: TimedEventGraph,
+    dater: np.ndarray,
+    *,
+    n_datasets: int | None = None,
+    wall_time: float = 0.0,
+) -> SimulationResult:
+    """The data sets a dater matrix completes, as a simulation record.
+
+    The last column's transitions, taken in row order, complete the data
+    sets round-robin: with ``m`` of them, data set ``j + i·m`` is firing
+    ``i`` of row ``j``'s transition. The record keeps data sets
+    ``0 .. n_datasets - 1`` (every completed one by default), by index.
+    """
+    last = _last_column(tpn)
+    # Row i of the transpose holds firing i of every row: data sets
+    # i·m .. i·m + m - 1, so the flat order is the data-set order.
+    completions = dater[last].T.ravel()[:n_datasets]
+    return SimulationResult(
+        completion_times=completions,
+        n_events=dater.size,
+        wall_time=wall_time,
+    )
+
+
 def simulate_tpn(
     tpn: TimedEventGraph,
     *,
@@ -40,13 +77,11 @@ def simulate_tpn(
 ) -> SimulationResult:
     """Complete data sets ``0 .. n_datasets - 1`` through the net.
 
-    The last column's transitions, taken in row order, complete the data
-    sets round-robin: with ``m`` of them, data set ``j + i·m`` is firing
-    ``i`` of row ``j``'s transition. Rows that a
-    :func:`~repro.petri.analysis.subnet` leaves empty (``grid`` holds -1)
-    do not count. Every transition fires ``ceil(n_datasets / m)`` times;
-    the result holds the sorted completions, the same set in the same
-    order as :func:`~repro.sim.system_sim.simulate_system` returns.
+    Every transition fires ``ceil(n_datasets / m)`` times, where ``m`` is
+    the number of last-column transitions, which complete the data sets
+    round-robin (see :func:`dater_result`). On constant times the
+    result holds the completions
+    :func:`~repro.sim.system_sim.simulate_system` returns, by index.
 
     Parameters
     ----------
@@ -65,21 +100,14 @@ def simulate_tpn(
                 f"transition {t} has no input place; event-graph simulation "
                 "requires source transitions to be closed by resource cycles"
             )
-    last = [int(t) for t in tpn.grid[-1] if t >= 0]
-    if not last:
-        raise StructuralError("the net has no last-column transition")
+    n_firings = -(-n_datasets // len(_last_column(tpn)))
     if rng is None:
         rng = np.random.default_rng(seed)
 
     t0 = _time.perf_counter()
-    n_firings = -(-n_datasets // len(last))
     times = sample_times(tpn, n_firings, as_factory(law), rng)
     dater = dater_evolution(tpn, n_firings, times)
-    # Row i of the transpose holds firing i of every row: data sets
-    # i·m .. i·m + m - 1, so the flat order is the data-set order.
-    completions = dater[last].T.ravel()[:n_datasets]
-    return SimulationResult(
-        completion_times=np.sort(completions),
-        n_events=tpn.n_transitions * n_firings,
+    return dater_result(
+        tpn, dater, n_datasets=n_datasets,
         wall_time=_time.perf_counter() - t0,
     )

@@ -522,11 +522,18 @@ class TestRunner:
     @pytest.mark.parametrize(
         "options,match",
         [
-            ({"estimator": "median"}, "unknown estimator"),
+            # A deleted option: a bad name, caught when the grid expands.
+            ({"estimator": "steady"}, r"does not accept option\(s\) estimator"),
             ({"law": "cauchy"}, "unknown distribution family"),
             ({"law": "gamma", "law_params": {"shapez": 0.5}}, "shapez"),
+            ({"n_datasets": 0}, "n_datasets must be >= 1"),
+            ({"n_datasets": 2.5}, "n_datasets must be an integer"),
+            ({"seed": -1}, "seed must be >= 0"),
         ],
-        ids=["estimator", "law", "law_params"],
+        ids=[
+            "estimator", "law", "law_params", "n_datasets", "n_datasets-float",
+            "seed",
+        ],
     )
     def test_bad_simulation_option_fails_before_any_execution(
         self, tmp_path, options, match
@@ -550,6 +557,46 @@ class TestRunner:
             run_campaign(spec, store)
         assert "scenario 'badsim/simulation'" in str(info.value)
         assert len(store) == 0
+
+    @pytest.mark.parametrize(
+        "axis,values",
+        [
+            ("solver.n_datasets", [100, 0]),
+            ("solver.n_datasets", [100, 2.5]),
+            ("solver.seed", [0, -1]),
+            ("solver.n_replications", [2, 0]),
+        ],
+        ids=["n_datasets", "n_datasets-float", "seed", "n_replications"],
+    )
+    def test_bad_simulation_axis_value_exits_2_before_storing(
+        self, tmp_path, axis, values
+    ):
+        # Every unit's solver is built before the first is scored, so the
+        # valid first value is not stored ahead of the bad second one.
+        from repro.cli import main
+
+        spec = CampaignSpec(
+            name="badaxis",
+            scenarios=[
+                ScenarioSpec(
+                    name="badaxis/simulation",
+                    system=SystemSpec(
+                        "single_communication", {"u": 2, "v": 2}
+                    ),
+                    solver="simulation",
+                    options={"n_datasets": 20},
+                    axes={axis: values},
+                ),
+            ],
+        )
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(spec.to_json())
+        store = tmp_path / "bad.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "run", "--spec", str(spec_file),
+                  "--store", str(store)])
+        assert exc.value.code == 2
+        assert not store.exists()
 
     def test_record_seed_provenance(self, tmp_path):
         spec = CampaignSpec(

@@ -17,9 +17,7 @@ from repro.distributions import (
     Uniform,
     Weibull,
     available_families,
-    family_params_label,
     make_distribution,
-    shape_factory,
 )
 from repro.exceptions import InvalidDistributionError
 
@@ -223,11 +221,3 @@ class TestRegistry:
         assert repr(family) in message
         assert f"takes {accepted}" in message
 
-    def test_shape_factory(self):
-        f = shape_factory("gamma", shape=0.5)
-        assert f(3.0).mean == pytest.approx(3.0)
-        assert not f(3.0).is_nbue
-
-    def test_label(self):
-        assert family_params_label("gamma", {"shape": 0.5}) == "gamma(shape=0.5)"
-        assert family_params_label("exponential", {}) == "exponential"

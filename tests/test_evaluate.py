@@ -57,10 +57,11 @@ class TestRegistry:
         assert solver.buffer_capacity == 2
 
     def test_simulation_solver_checks_estimator_and_law_when_built(self):
-        # A single-run solver used to score an unknown estimator as
-        # "total", and a bad law raised only at solve time.
-        with pytest.raises(ValueError, match="unknown estimator 'median'"):
-            get_solver("simulation", n_datasets=200, estimator="median")
+        # The solver scores the paper's completed/total estimator only:
+        # the estimator option is gone, and naming it fails when built.
+        # A bad law used to raise only at solve time.
+        with pytest.raises(TypeError, match="estimator"):
+            get_solver("simulation", n_datasets=200, estimator="steady")
         with pytest.raises(
             InvalidDistributionError, match="unknown distribution family"
         ):
@@ -69,7 +70,6 @@ class TestRegistry:
             get_solver("simulation", law="gamma", law_params={"shapez": 0.5})
         solver = get_solver(
             "simulation", law="gamma", law_params={"shape": 0.5},
-            estimator="steady",
         )
         assert solver.law_params == (("shape", 0.5),)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import StructuralError
+from repro.exceptions import ConvergenceError, StructuralError
 from repro.markov import CTMC, ctmc_from_tpn, tpn_throughput_exponential
 from repro.petri import build_overlap_tpn, build_strict_tpn
 
@@ -38,10 +38,11 @@ class TestCTMC:
                 rates.append(float(rng.uniform(0.1, 1.0)))
         chain = CTMC(n, rows, cols, rates)
         direct = chain.stationary_distribution("direct")
-        power = chain.stationary_distribution("power")
         dense = chain.stationary_distribution("dense")
-        assert np.allclose(direct, power, atol=1e-8)
         assert np.allclose(direct, dense, atol=1e-8)
+        assert np.array_equal(chain.stationary_distribution(), direct)
+        with pytest.raises(ValueError, match="unknown method 'power'"):
+            chain.stationary_distribution("power")
 
     def test_balance_equations_hold(self):
         chain = CTMC(3, [0, 1, 2, 0], [1, 2, 0, 2], [1.0, 2.0, 3.0, 0.5])
@@ -60,9 +61,27 @@ class TestCTMC:
     def test_transient_states_get_zero_mass(self):
         # 0 -> 1 <-> 2 : state 0 is transient.
         chain = CTMC(3, [0, 1, 2], [1, 2, 1], [1.0, 1.0, 1.0])
-        pi = chain.stationary_distribution("power")
-        assert pi[0] == pytest.approx(0.0, abs=1e-9)
-        assert pi[1] == pytest.approx(0.5, abs=1e-6)
+        pi = chain.stationary_distribution()
+        assert pi[0] == 0.0
+        assert pi[1] == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.filterwarnings(
+        "ignore::scipy.sparse.linalg.MatrixRankWarning"
+    )
+    def test_singular_system_raises(self):
+        # Two closed classes, 0 <-> 1 and 2 <-> 3 (and a transient state
+        # 4 feeding both): no unique stationary law. The LU does not
+        # raise; it warns and fills NaN, which used to end in "produced a
+        # zero vector".
+        for chain in (
+            CTMC(4, [0, 1, 2, 3], [1, 0, 3, 2], [1.0, 2.0, 1.0, 3.0]),
+            CTMC(
+                5, [4, 4, 0, 1, 2, 3], [0, 2, 1, 0, 3, 2],
+                [1.0, 1.0, 1.0, 2.0, 1.0, 3.0],
+            ),
+        ):
+            with pytest.raises(ConvergenceError, match="singular"):
+                chain.stationary_distribution()
 
     def test_single_state(self):
         chain = CTMC(1, [], [], [])

@@ -346,14 +346,12 @@ class TestReplicationProperties:
         st.sampled_from(["overlap", "strict"]),
         st.sampled_from(LAWS),
         st.sampled_from(["independent", "associated"]),
-        st.sampled_from(["total", "steady"]),
         st.integers(1, 6),
         st.integers(1, 40),
     )
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_spec_values_match_per_stream_loop(
-        self, reps, seed, model, law, correlation, estimator, n_replications,
-        n_datasets,
+        self, reps, seed, model, law, correlation, n_replications, n_datasets,
     ):
         """A spec's batched values are the bytes of its per-stream runs.
 
@@ -372,12 +370,9 @@ class TestReplicationProperties:
         )
         streams = np.random.default_rng(seed).spawn(n_replications)
         runs = [spec(rng) for rng in streams]
-        if estimator == "total":
-            loop = np.array([r.throughput for r in runs])
-        else:
-            loop = np.array([r.steady_state_throughput() for r in runs])
+        loop = np.array([r.throughput for r in runs])
         values = replication_values(
-            spec, n_replications=n_replications, seed=seed, estimator=estimator
+            spec, n_replications=n_replications, seed=seed
         )
         assert values.tobytes() == loop.tobytes()
 

@@ -9,8 +9,6 @@ runner/solver plumbing around it.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -67,21 +65,22 @@ class TestBatchKernelBitIdentity:
                 mp, model, n_datasets=40, rngs=streams, law=law,
                 correlation=correlation,
             )
-            for r, rng in enumerate(np.random.default_rng(7).spawn(6)):
+            assert len(batch) == 6
+            for one, rng in zip(batch, np.random.default_rng(7).spawn(6)):
                 serial = simulate_system(
                     mp, model, n_datasets=40, law=law, rng=rng,
                     correlation=correlation,
                 )
                 assert (
                     serial.completion_times.tobytes()
-                    == batch.completion_times[r].tobytes()
+                    == one.completion_times.tobytes()
                 )
-                assert serial.latencies.tobytes() == batch.latencies[r].tobytes()
-                assert serial.n_events == batch.n_events
-                assert serial.throughput == batch.throughput()[r]
+                assert serial.latencies.tobytes() == one.latencies.tobytes()
+                assert serial.n_events == one.n_events
+                assert serial.throughput == one.throughput
                 assert (
                     serial.steady_state_throughput()
-                    == batch.steady_state_throughput()[r]
+                    == one.steady_state_throughput()
                 )
 
     @pytest.mark.parametrize("model", ["overlap", "strict"])
@@ -96,28 +95,32 @@ class TestBatchKernelBitIdentity:
             batch = simulate_system_batch(
                 mp, model, n_datasets=5, rngs=streams, law="exponential"
             )
-            assert batch.n_replications == n_reps
-            assert batch.n_datasets == 5
-            for r, rng in enumerate(np.random.default_rng(1).spawn(n_reps)):
+            assert len(batch) == n_reps
+            assert all(one.n_processed == 5 for one in batch)
+            for one, rng in zip(batch, np.random.default_rng(1).spawn(n_reps)):
                 serial = simulate_system(
                     mp, model, n_datasets=5, law="exponential", rng=rng
                 )
                 assert np.array_equal(
-                    serial.completion_times, batch.completion_times[r]
+                    serial.completion_times, one.completion_times
                 )
 
     def test_result_view_roundtrip(self):
+        # One replication's record stands alone: contiguous arrays, and
+        # its own time-ordered view of its completions.
         mp = _paper_like()
         streams = np.random.default_rng(2).spawn(3)
         batch = simulate_system_batch(
             mp, "overlap", n_datasets=20, rngs=streams, law="exponential"
         )
-        one = batch.result(1)
+        one = batch[1]
         ref = simulate_system(
             mp, "overlap", n_datasets=20, law="exponential",
             rng=np.random.default_rng(2).spawn(3)[1],
         )
+        assert one.completion_times.flags.c_contiguous
         assert np.array_equal(one.completion_times, ref.completion_times)
+        assert np.array_equal(one.time_ordered, ref.time_ordered)
         assert one.throughput == ref.throughput
 
     def test_validation(self):
@@ -133,8 +136,7 @@ class TestBatchKernelBitIdentity:
 
 class TestReplicationValues:
     @pytest.mark.parametrize("model", ["overlap", "strict"])
-    @pytest.mark.parametrize("estimator", ["total", "steady"])
-    def test_engines_byte_identical(self, model, estimator):
+    def test_engines_byte_identical(self, model):
         studies = [
             (ReplicationSpec(
                 _paper_like(), model, n_datasets=60, law="exponential"
@@ -146,20 +148,11 @@ class TestReplicationValues:
         ]
         for spec, n_replications, seed in studies:
             results = _per_stream(spec, n_replications, seed)
-            if estimator == "total":
-                loop = np.array([r.throughput for r in results])
-            else:
-                loop = np.array([r.steady_state_throughput() for r in results])
+            loop = np.array([r.throughput for r in results])
             vec = replication_values(
-                spec, n_replications=n_replications, seed=seed,
-                estimator=estimator,
+                spec, n_replications=n_replications, seed=seed
             )
             assert loop.tobytes() == vec.tobytes()
-
-    def test_engine_validation(self):
-        spec = ReplicationSpec(make_mapping([[0]]), n_datasets=5)
-        with pytest.raises(ValueError, match="unknown estimator"):
-            replication_values(spec, n_replications=2, estimator="median")
 
 
 class TestReplicateEngines:
@@ -188,22 +181,6 @@ class TestReplicateEngines:
                 spec, n_replications=n_replications, seed=seed
             ) == expected
 
-    def test_callable_still_works_via_auto(self):
-        mp = single_communication(2, 3)
-
-        def run(rng):
-            return simulate_system(
-                mp, "overlap", n_datasets=50, law="exponential", rng=rng
-            )
-
-        summary = replicate(run, n_replications=4, seed=0)
-        spec_summary = replicate(
-            ReplicationSpec(mp, "overlap", n_datasets=50, law="exponential"),
-            n_replications=4,
-            seed=0,
-        )
-        assert summary == spec_summary
-
     def test_spec_is_picklable_callable(self):
         import pickle
 
@@ -214,24 +191,6 @@ class TestReplicateEngines:
         a = spec(np.random.default_rng(5))
         b = clone(np.random.default_rng(5))
         assert np.array_equal(a.completion_times, b.completion_times)
-
-    def test_no_pickle_probe_when_serial(self):
-        """An opaque callable runs in this process: never pickled."""
-        mp = single_communication(2, 2)
-
-        class Unpicklable:
-            def __call__(self, rng):
-                return simulate_system(
-                    mp, "overlap", n_datasets=10, law="exponential", rng=rng
-                )
-
-            def __reduce__(self):
-                raise AssertionError("pickled on the serial path")
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # any warning fails the test
-            summary = replicate(Unpicklable(), n_replications=2, seed=0)
-        assert summary.n_replications == 2
 
 
 class TestSpecAndSweep:
@@ -254,28 +213,30 @@ class TestSpecAndSweep:
         assert [k for k, _ in series] == [10, 100]
         assert all(isinstance(k, int) for k, _ in series)
 
-    def test_throughput_vs_datasets_rejects_floats_before_run(self):
-        def bomb(rng, n):  # pragma: no cover - must never be called
-            raise AssertionError("run invoked despite invalid counts")
+    def test_throughput_vs_datasets_rejects_floats_before_run(
+        self, monkeypatch
+    ):
+        def bomb(*args, **kwargs):  # pragma: no cover - must never be called
+            raise AssertionError("simulated despite invalid counts")
 
+        monkeypatch.setattr("repro.sim.runner.simulate_system", bomb)
+        spec = ReplicationSpec(make_mapping([[0]]), n_datasets=10)
         with pytest.raises(TypeError, match="integers"):
-            throughput_vs_datasets(bomb, [10, 2.5])
+            throughput_vs_datasets(spec, [10, 2.5])
         with pytest.raises(TypeError, match="integers"):
-            throughput_vs_datasets(bomb, [True, 10])
+            throughput_vs_datasets(spec, [True, 10])
         with pytest.raises(ValueError, match="positive"):
-            throughput_vs_datasets(bomb, [0, 10])
+            throughput_vs_datasets(spec, [0, 10])
 
     def test_throughput_vs_datasets_spec_matches_callable(self):
+        # The sweep is one run of the spec, called at the largest count,
+        # read at every prefix.
         mp = single_communication(2, 3)
         spec = ReplicationSpec(mp, "overlap", n_datasets=1, law="exponential")
-
-        def run(rng, n):
-            return simulate_system(
-                mp, "overlap", n_datasets=n, law="exponential", rng=rng
-            )
-
-        assert throughput_vs_datasets(spec, [10, 50], seed=3) == \
-            throughput_vs_datasets(run, [10, 50], seed=3)
+        run = spec.with_datasets(50)(np.random.default_rng(3))
+        assert throughput_vs_datasets(spec, [10, 50], seed=3) == [
+            (10, run.throughput_after(10)), (50, run.throughput_after(50)),
+        ]
 
 
 class TestSimulationSolverReplication:

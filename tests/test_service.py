@@ -381,8 +381,14 @@ class TestEngine:
 
     @pytest.mark.parametrize(
         "options",
-        [{"estimator": "median"}, {"law": "cauchy"}, {"n_datasets_typo": 5}],
-        ids=["bad-estimator", "bad-law", "bad-name"],
+        [
+            {"estimator": "median"},  # a deleted option: a bad name
+            {"law": "cauchy"},
+            {"n_datasets_typo": 5},
+            {"n_datasets": 0},
+            {"seed": -1},
+        ],
+        ids=["bad-estimator", "bad-law", "bad-name", "bad-n_datasets", "bad-seed"],
     )
     def test_bad_option_value_reported_like_bad_option_name(self, options):
         task = dict(pattern_task(solver="simulation"), options=options)

@@ -17,9 +17,11 @@ from repro.petri import build_overlap_tpn, build_strict_tpn
 from repro.petri.net import TimedEventGraph
 from repro.sim import (
     OnlineStats,
+    ReplicationSpec,
     ReplicationSummary,
     normal_confidence_interval,
     replicate,
+    replication_values,
     simulate_system,
     simulate_system_batch,
     simulate_tpn,
@@ -67,7 +69,7 @@ class TestSimulationResult:
         # rate is 2.0); 1.0 would discard every one of them.
         mp = single_communication(2, 3, comm_time=1.0)
         run = simulate_system(mp, "overlap", n_datasets=100)
-        batch = simulate_system_batch(
+        (batch,) = simulate_system_batch(
             mp, "overlap", n_datasets=100, rngs=[np.random.default_rng(0)]
         )
         for method in (
@@ -152,8 +154,11 @@ class TestTpnSimulator:
         ],
     )
     def test_constant_times_match_system_simulator(self, make, model):
-        """Both simulators complete the same data sets at the same
-        instants, bit for bit, when every duration is its mean."""
+        """Both simulators complete each data set at the same instant,
+        bit for bit, when every duration is its mean. The vectors are
+        compared by data-set index: seed0 and three-stage in Overlap and
+        2x3 in both models complete out of time order, so this is
+        stronger than comparing sorted completions."""
         mp = make()
         build = build_overlap_tpn if model == "overlap" else build_strict_tpn
         tpn = simulate_tpn(
@@ -313,6 +318,9 @@ class TestSystemSimulator:
             simulate_system(mp, "overlap", n_datasets=10, correlation="???")
 
     def test_sorted_completions(self):
+        # The fast teammate runs ahead of the slow one: data sets complete
+        # out of time order. The record keeps them by index, and its
+        # estimators read them sorted.
         mp = make_mapping(
             [[0], [1, 2]], works=[0.01, 2.0], files=[0.01],
             speeds=[100.0, 10.0, 0.5],
@@ -320,7 +328,12 @@ class TestSystemSimulator:
         sim = simulate_system(
             mp, "overlap", n_datasets=5000, law="deterministic", seed=0
         )
-        assert (np.diff(sim.completion_times) >= 0).all()
+        assert (np.diff(sim.completion_times) < 0).any()
+        assert (np.diff(sim.time_ordered) >= 0).all()
+        assert np.array_equal(sim.time_ordered, np.sort(sim.completion_times))
+        assert sim.makespan == sim.completion_times.max()
+        entries = sim.completion_times - sim.latencies
+        assert (entries >= 0).all() and (np.diff(entries) >= 0).all()
 
     def test_agreement_between_engines(self):
         """The two independent simulators agree (model fidelity, §7.4)."""
@@ -367,48 +380,37 @@ class TestStatsAndRunner:
             assert lo == -hi
 
     def test_replicate_summary(self):
-        mp = single_communication(2, 3)
-
-        def run(rng):
-            return simulate_system(
-                mp, "overlap", n_datasets=2000, law="exponential", rng=rng
-            )
-
-        summary = replicate(run, n_replications=16, seed=0)
+        spec = ReplicationSpec(
+            single_communication(2, 3), "overlap", n_datasets=2000,
+            law="exponential",
+        )
+        summary = replicate(spec, n_replications=16, seed=0)
         assert isinstance(summary, ReplicationSummary)
         assert summary.min <= summary.mean <= summary.max
         assert summary.ci95[0] <= summary.mean <= summary.ci95[1]
         assert 0 < summary.relative_std < 0.2
 
     def test_replicate_independent_streams(self):
-        mp = single_communication(2, 3)
-        seen = []
-
-        def run(rng):
-            r = simulate_system(
-                mp, "overlap", n_datasets=200, law="exponential", rng=rng
-            )
-            seen.append(r.makespan)
-            return r
-
-        replicate(run, n_replications=5, seed=1)
-        assert len(set(seen)) == 5
+        spec = ReplicationSpec(
+            single_communication(2, 3), "overlap", n_datasets=200,
+            law="exponential",
+        )
+        values = replication_values(spec, n_replications=5, seed=1)
+        assert len(set(values.tolist())) == 5
 
     def test_throughput_vs_datasets_prefix(self):
-        mp = single_communication(2, 3)
-
-        def run(rng, n):
-            return simulate_system(
-                mp, "overlap", n_datasets=n, law="exponential", rng=rng
-            )
-
-        series = throughput_vs_datasets(run, [10, 100, 1000], seed=0)
+        spec = ReplicationSpec(
+            single_communication(2, 3), "overlap", n_datasets=1,
+            law="exponential",
+        )
+        series = throughput_vs_datasets(spec, [10, 100, 1000], seed=0)
         assert [k for k, _ in series] == [10, 100, 1000]
         # Converges towards the theoretical value 1.5.
         assert series[-1][1] == pytest.approx(1.5, rel=0.1)
 
     def test_runner_validation(self):
+        spec = ReplicationSpec(single_communication(2, 3), n_datasets=10)
         with pytest.raises(ValueError):
-            replicate(lambda rng: None, n_replications=0)
+            replicate(spec, n_replications=0)
         with pytest.raises(ValueError):
-            throughput_vs_datasets(lambda rng, n: None, [])
+            throughput_vs_datasets(spec, [])
